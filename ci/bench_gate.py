@@ -2,19 +2,14 @@
 """Wall-clock trajectory regression gate.
 
 Compares two BENCH_simnet.json files (previous successful run vs this
-run) row by row, keyed on (artifact, scale, mode). Macro rows — the
+run) row by row, keyed on (artifact, scale). Macro rows — the
 `paper`-scale ones, which run long enough for wall_min_s to be stable —
 gate the build: a >15% regression in any of them fails. `quick` rows
 are single-digit-millisecond and dominated by process noise, so they
-are reported but never fail the gate. New rows (fresh artifact or mode)
-and rows that disappeared are reported as informational.
-
-`speculative:N` rows additionally carry the engine's optimistic
-commit/rollback counters (spec_commits / spec_rollbacks); the gate
-echoes them for attribution and fails a speculative macro row whose
-runs recorded *no* speculative commits at all — that means the Time
-Warp engine silently degenerated to the conservative path and the row's
-wall clock no longer measures what its mode claims.
+are reported but never fail the gate. New rows (fresh artifact) and
+rows that disappeared are reported as informational. Files written
+before the engine became single-threaded also carry per-mode rows;
+only their `sequential` rows are compared.
 
 Multi-tenant rows (`"multi_tenant": true`, emitted by the `datacenter`
 artifact) carry the contended section's per-queue scheduler counters.
@@ -40,10 +35,10 @@ def rows(path):
         doc = json.load(f)
     out = {}
     for r in doc.get("results", []):
-        out[(r["artifact"], r["scale"], r["mode"])] = {
+        if r.get("mode", "sequential") != "sequential":
+            continue
+        out[(r["artifact"], r["scale"])] = {
             "wall_min_s": float(r["wall_min_s"]),
-            "spec_commits": int(r.get("spec_commits", 0)),
-            "spec_rollbacks": int(r.get("spec_rollbacks", 0)),
             "multi_tenant": bool(r.get("multi_tenant", False)),
             "contended": r.get("contended"),
         }
@@ -91,23 +86,12 @@ def main(argv):
         return 2
 
     regressions = []
-    degenerate = []
     malformed = []
     for key in sorted(curr):
-        artifact, scale, mode = key
+        artifact, scale = key
         row = curr[key]
         new = row["wall_min_s"]
-        label = f"{artifact}/{scale}/{mode}"
-        spec = ""
-        if mode.startswith("speculative"):
-            spec = (
-                f" [spec_commits={row['spec_commits']}"
-                f" spec_rollbacks={row['spec_rollbacks']}]"
-            )
-            if scale in GATED_SCALES and row["spec_commits"] == 0:
-                degenerate.append(label)
-                print(f"  FAIL   {label}: zero speculative commits{spec}")
-                continue
+        label = f"{artifact}/{scale}"
         # Multi-tenant rows are checked and echoed even when NEW — the
         # first run of a fresh artifact must already be well-formed.
         if row["multi_tenant"]:
@@ -117,17 +101,17 @@ def main(argv):
             malformed.extend(problems)
         old_row = prev.get(key)
         if old_row is None:
-            print(f"  NEW    {label}: {new:.6f}s (no previous row){spec}")
+            print(f"  NEW    {label}: {new:.6f}s (no previous row)")
             continue
         old = old_row["wall_min_s"]
         delta = (new - old) / old if old > 0 else 0.0
         gated = scale in GATED_SCALES
         if gated and delta > THRESHOLD:
             regressions.append((label, old, new, delta))
-            print(f"  FAIL   {label}: {old:.6f}s -> {new:.6f}s ({delta:+.1%}){spec}")
+            print(f"  FAIL   {label}: {old:.6f}s -> {new:.6f}s ({delta:+.1%})")
         else:
             tag = "ok" if gated else "info"
-            print(f"  {tag:<6} {label}: {old:.6f}s -> {new:.6f}s ({delta:+.1%}){spec}")
+            print(f"  {tag:<6} {label}: {old:.6f}s -> {new:.6f}s ({delta:+.1%})")
     for key in sorted(set(prev) - set(curr)):
         print(f"  GONE   {'/'.join(key)}: row no longer produced")
 
@@ -136,13 +120,6 @@ def main(argv):
         print(
             f"bench_gate: {len(regressions)} macro row(s) regressed "
             f">{THRESHOLD:.0%} in wall_min_s",
-            file=sys.stderr,
-        )
-        failed = True
-    if degenerate:
-        print(
-            f"bench_gate: {len(degenerate)} speculative macro row(s) "
-            "recorded zero speculative commits",
             file=sys.stderr,
         )
         failed = True

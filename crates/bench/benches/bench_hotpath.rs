@@ -3,10 +3,8 @@
 //! Complements `paper_benches` (whole-artifact wall clock) with the
 //! individual mechanisms the perf work targets: the calendar ready
 //! queue vs the `BinaryHeap` it replaced, raw message-handoff cost
-//! through the engine in every execution mode, the speculation
-//! machinery's checkpoint-capture and rollback-replay costs, the
-//! tracing overhead of per-process buffering, and the memoized
-//! collective selection.
+//! through the engine, and the overhead of tracing, telemetry and the
+//! host self-profiler.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,8 +12,8 @@ use std::collections::BinaryHeap;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hpcbd_simnet::{
-    allreduce_algo, set_default_execution, CalendarQueue, Execution, MatchSpec, NodeId, OrderKey,
-    Payload, Pid, Sim, SimTime, Topology, Transport, Work,
+    CalendarQueue, MatchSpec, NodeId, OrderKey, Payload, Pid, Sim, SimTime, Topology, Transport,
+    Work,
 };
 
 /// Queue churn modeling the engine's access pattern: a sliding window of
@@ -73,8 +71,7 @@ fn queue_churn(c: &mut Criterion) {
 
 /// Raw engine handoff cost: a 2-process ping-pong, 200 rounds — almost
 /// every cycle is align/dispatch/park/wake machinery.
-fn pingpong(exec: Execution, tracing: bool) -> u64 {
-    set_default_execution(exec);
+fn pingpong(tracing: bool) -> u64 {
     let mut sim = Sim::new(Topology::comet(2));
     if tracing {
         sim.enable_tracing();
@@ -106,55 +103,7 @@ fn pingpong(exec: Execution, tracing: bool) -> u64 {
 fn engine_handoff(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_handoff");
     g.sample_size(20);
-    g.bench_function("pingpong_sequential", |b| {
-        b.iter(|| black_box(pingpong(Execution::Sequential, false)))
-    });
-    g.bench_function("pingpong_parallel", |b| {
-        b.iter(|| black_box(pingpong(Execution::Parallel { threads: 2 }, false)))
-    });
-    g.bench_function("pingpong_speculative", |b| {
-        b.iter(|| black_box(pingpong(Execution::Speculative { threads: 2 }, false)))
-    });
-    set_default_execution(Execution::Sequential);
-    g.finish();
-}
-
-/// A device-heavy single process: every disk/NFS op in speculative mode
-/// captures a checkpoint, snapshots the device cell, applies the
-/// prediction and parks for validation. Uncontended, so every
-/// speculation commits clean — the delta against sequential is pure
-/// checkpoint-capture + validate cost. With `SpecBug::ForceReplay`
-/// planted, every one of those speculations instead rolls back and
-/// replays under the token, pricing the full rollback-replay path.
-fn device_loop(exec: Execution, ops: u64) -> u64 {
-    set_default_execution(exec);
-    let mut sim = Sim::new(Topology::comet(1));
-    sim.spawn(NodeId(0), "dev", move |ctx| {
-        for _ in 0..ops {
-            ctx.disk_write(1 << 16);
-            ctx.nfs_read(1 << 12);
-        }
-        ctx.now().nanos()
-    });
-    black_box(sim.run().makespan().nanos())
-}
-
-fn speculation_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("speculation_overhead");
-    g.sample_size(20);
-    const OPS: u64 = 200;
-    g.bench_function("device_loop_sequential", |b| {
-        b.iter(|| black_box(device_loop(Execution::Sequential, OPS)))
-    });
-    g.bench_function("device_loop_checkpoint_commit", |b| {
-        b.iter(|| black_box(device_loop(Execution::Speculative { threads: 1 }, OPS)))
-    });
-    g.bench_function("device_loop_rollback_replay", |b| {
-        hpcbd_simnet::set_spec_bug(Some(hpcbd_simnet::SpecBug::ForceReplay));
-        b.iter(|| black_box(device_loop(Execution::Speculative { threads: 1 }, OPS)));
-        hpcbd_simnet::set_spec_bug(None);
-    });
-    set_default_execution(Execution::Sequential);
+    g.bench_function("pingpong", |b| b.iter(|| black_box(pingpong(false))));
     g.finish();
 }
 
@@ -165,25 +114,23 @@ fn tracing_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("tracing_overhead");
     g.sample_size(20);
     g.bench_function("pingpong_untraced", |b| {
-        b.iter(|| black_box(pingpong(Execution::Sequential, false)))
+        b.iter(|| black_box(pingpong(false)))
     });
-    g.bench_function("pingpong_traced", |b| {
-        b.iter(|| black_box(pingpong(Execution::Sequential, true)))
-    });
+    g.bench_function("pingpong_traced", |b| b.iter(|| black_box(pingpong(true))));
     g.finish();
 }
 
 /// Telemetry overhead: the costs the live-telemetry subsystem must
 /// keep invisible. `pingpong_metrics_off` is the plain uncaptured hot
 /// path (one resolved `bool` per would-be metric call; must match
-/// `engine_handoff/pingpong_sequential`). The captured pair prices the
+/// `engine_handoff/pingpong`). The captured pair prices the
 /// sampler's collection cost against an identical capture without it,
 /// and the selfprof pair prices the host profiler's relaxed counters.
 fn telemetry_overhead(c: &mut Criterion) {
     fn captured_pingpong(interval: Option<u64>) -> u64 {
         hpcbd_simnet::set_telemetry_interval(interval);
         hpcbd_simnet::begin_capture();
-        let r = pingpong(Execution::Sequential, true);
+        let r = pingpong(true);
         let caps = hpcbd_simnet::end_capture();
         hpcbd_simnet::set_telemetry_interval(None);
         black_box(caps.len());
@@ -193,7 +140,7 @@ fn telemetry_overhead(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("pingpong_metrics_off", |b| {
         hpcbd_simnet::set_telemetry_interval(None);
-        b.iter(|| black_box(pingpong(Execution::Sequential, false)))
+        b.iter(|| black_box(pingpong(false)))
     });
     g.bench_function("pingpong_captured_no_telemetry", |b| {
         b.iter(|| black_box(captured_pingpong(None)))
@@ -204,10 +151,9 @@ fn telemetry_overhead(c: &mut Criterion) {
     g.bench_function("pingpong_selfprof_on", |b| {
         hpcbd_simnet::selfprof_reset();
         hpcbd_simnet::set_selfprof(true);
-        b.iter(|| black_box(pingpong(Execution::Sequential, false)));
+        b.iter(|| black_box(pingpong(false)));
         hpcbd_simnet::set_selfprof(false);
     });
-    set_default_execution(Execution::Sequential);
     g.finish();
 }
 
@@ -218,7 +164,6 @@ fn compute_loop(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("sleep_chain_1proc", |b| {
         b.iter(|| {
-            set_default_execution(Execution::Sequential);
             let mut sim = Sim::new(Topology::comet(1));
             sim.spawn(NodeId(0), "w", |ctx| {
                 for _ in 0..500 {
@@ -233,31 +178,12 @@ fn compute_loop(c: &mut Criterion) {
     g.finish();
 }
 
-/// Memoized collective selection: repeated lookups of the same
-/// `(comm, bytes)` key, as PageRank's per-iteration allreduce issues.
-fn collective_memo(c: &mut Criterion) {
-    let mut g = c.benchmark_group("collective_memo");
-    g.sample_size(50);
-    g.bench_function("allreduce_algo_repeat", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for _ in 0..1000 {
-                acc += allreduce_algo(black_box(64), black_box(8 << 20)) as usize;
-            }
-            black_box(acc)
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     queue_churn,
     engine_handoff,
-    speculation_overhead,
     tracing_overhead,
     telemetry_overhead,
-    compute_loop,
-    collective_memo
+    compute_loop
 );
 criterion_main!(benches);

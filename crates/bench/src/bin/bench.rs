@@ -2,27 +2,22 @@
 //!
 //! Times the fig3 / fig4 / fig6 pipelines (the three artifacts that
 //! stress the engine hardest: many-process collectives, disk-bound
-//! scans, iterative allreduce) at `--quick` and paper scale, under all
-//! three execution modes (sequential, parallel, speculative), and
-//! writes the measurements to `BENCH_simnet.json`. Speculative rows
-//! carry the engine's optimistic commit/rollback counters so the
-//! artifact attributes *why* the mode was (or wasn't) faster.
+//! scans, iterative allreduce) and the busy datacenter day at `--quick`
+//! and paper scale, and writes the measurements to `BENCH_simnet.json`.
 //! CI runs this and uploads the artifact so every PR leaves a data point
-//! on the simulator's host-performance trajectory (ROADMAP: "as fast as
-//! the hardware allows").
+//! on the simulator's host-performance trajectory.
 //!
 //! Flags:
 //! * `--quick` — measure only the quick-scale configurations (CI smoke).
 //! * `--out PATH` — output path (default `BENCH_simnet.json`).
 //! * `--digests` — skip timing entirely: run each configuration once
-//!   per execution mode, assert the cross-mode digests agree, and print
-//!   only the digest lines. The output is fully deterministic, which
-//!   lets this bin join the golden registry the `conformance` gate
-//!   checks (wall-clock numbers never could).
+//!   and print only its table digest. The output is fully
+//!   deterministic, which lets this bin join the golden registry the
+//!   `conformance` gate checks (wall-clock numbers never could).
 //!
-//! Each run also records an FNV-1a digest of the produced table; the
-//! emitter asserts sequential and parallel digests agree, so a
-//! determinism break surfaces here as well as in the test suite.
+//! Each run also records an FNV-1a digest of the produced table, and
+//! the emitter asserts every run of a row produced the same digest, so
+//! a determinism break surfaces here as well as in the test suite.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -31,11 +26,10 @@ use hpcbd_cluster::Placement;
 use hpcbd_core::bench_answers;
 use hpcbd_core::bench_pagerank::{figure6, PagerankInput};
 use hpcbd_core::bench_reduce;
-use hpcbd_simnet::{set_default_execution, Execution};
 use hpcbd_workloads::StackExchangeDataset;
 
 /// FNV-1a over the produced table, so runs can be compared for
-/// bit-identity across modes without storing the tables themselves.
+/// bit-identity without storing the tables themselves.
 fn digest(s: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for b in s.as_bytes() {
@@ -77,16 +71,10 @@ fn proc_mem_probe(procs: u32) -> Option<(u64, u64)> {
 struct Measurement {
     artifact: &'static str,
     scale: &'static str,
-    mode: String,
     runs: usize,
     wall_min_s: f64,
     wall_mean_s: f64,
     table_digest: u64,
-    /// Speculative commits/rollbacks summed across the row's runs.
-    /// Zero in non-speculative modes; wall-clock-schedule-dependent in
-    /// speculative ones (attribution only — never part of a digest).
-    spec_commits: u64,
-    spec_rollbacks: u64,
     /// Extra JSON fields appended to the row (multi-tenant scheduler
     /// counters for the `datacenter` artifact; empty otherwise). Must
     /// start with ", " when non-empty.
@@ -96,43 +84,31 @@ struct Measurement {
 fn measure(
     artifact: &'static str,
     scale: &'static str,
-    mode_name: &str,
-    exec: Execution,
     runs: usize,
     f: &dyn Fn() -> String,
 ) -> Measurement {
-    set_default_execution(exec);
-    let _ = hpcbd_simnet::spec_counters_take();
     let mut times = Vec::with_capacity(runs);
-    let mut dig = 0u64;
+    let mut digests = Vec::with_capacity(runs);
     for _ in 0..runs {
         let t0 = Instant::now();
         let table = f();
         times.push(t0.elapsed().as_secs_f64());
-        dig = digest(&table);
+        digests.push(digest(&table));
     }
-    let (spec_commits, spec_rollbacks) = hpcbd_simnet::spec_counters_take();
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "{artifact}/{scale}: runs produced different tables — determinism break"
+    );
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
     let mean = times.iter().sum::<f64>() / times.len() as f64;
-    eprintln!(
-        "  {artifact}/{scale}/{mode_name}: min {min:.3}s mean {mean:.3}s (x{runs})\
-         {}",
-        if spec_commits + spec_rollbacks > 0 {
-            format!(" spec: {spec_commits} commit(s), {spec_rollbacks} rollback(s)")
-        } else {
-            String::new()
-        }
-    );
+    eprintln!("  {artifact}/{scale}: min {min:.3}s mean {mean:.3}s (x{runs})");
     Measurement {
         artifact,
         scale,
-        mode: mode_name.to_string(),
         runs,
         wall_min_s: min,
         wall_mean_s: mean,
-        table_digest: dig,
-        spec_commits,
-        spec_rollbacks,
+        table_digest: digests[0],
         extra_json: String::new(),
     }
 }
@@ -140,10 +116,9 @@ fn measure(
 /// The multi-tenant counters attached to each `datacenter` row: the
 /// contended section's per-queue latency quantiles, queueing delay,
 /// preemption activity and SLO attainment. Deterministic (virtual-time)
-/// values — identical across modes and hosts, unlike the wall clocks.
+/// values — identical across runs and hosts, unlike the wall clocks.
 fn datacenter_extra(quick: bool) -> String {
     use hpcbd_sched::quantile_ns;
-    set_default_execution(Execution::Sequential);
     let sections = hpcbd_bench::datacenter::run_all(quick);
     let (_, contended) = &sections[1];
     let mut s = String::from(", \"multi_tenant\": true, \"contended\": {\"queues\": [");
@@ -192,12 +167,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // On a single-core host parallel mode cannot overlap compute, but we
-    // still measure it (with a meaningful in-flight window) so the
-    // trajectory records the mode's overhead there too.
-    let threads = host_cores.max(2);
-
-    eprintln!("hpcbd bench: host_cores={host_cores} parallel_threads={threads}");
+    eprintln!("hpcbd bench: host_cores={host_cores}");
 
     // The three artifact pipelines at each scale. Configurations mirror
     // the `fig3` / `fig4` / `fig6` bins exactly.
@@ -257,22 +227,7 @@ fn main() {
 
     if args.iter().any(|a| a == "--digests") {
         for (artifact, scale, _runs, f) in &cases {
-            set_default_execution(Execution::Sequential);
-            let seq = digest(&f());
-            set_default_execution(Execution::Parallel { threads });
-            let par = digest(&f());
-            set_default_execution(Execution::Speculative { threads });
-            let spec = digest(&f());
-            set_default_execution(Execution::Sequential);
-            assert_eq!(
-                seq, par,
-                "{artifact}/{scale}: sequential and parallel tables differ — determinism break"
-            );
-            assert_eq!(
-                seq, spec,
-                "{artifact}/{scale}: sequential and speculative tables differ — determinism break"
-            );
-            println!("{artifact}/{scale} table_digest={seq:016x}");
+            println!("{artifact}/{scale} table_digest={:016x}", digest(&f()));
         }
         return;
     }
@@ -289,8 +244,8 @@ fn main() {
     }
 
     // The multi-tenant pipeline rides along as its own rows (kept out of
-    // `cases` so the `--digests` golden output is unchanged; its
-    // cross-mode determinism is gated by `conformance` directly).
+    // `cases` so the `--digests` golden output is unchanged; its tables
+    // are pinned by the golden registry directly).
     let dc_cases: Vec<(&'static str, bool, usize, ArtifactFn)> = {
         let render_all = |quick: bool| -> String {
             hpcbd_bench::datacenter::run_all(quick)
@@ -312,89 +267,19 @@ fn main() {
     // trajectories.
     hpcbd_bench::run_with_report("bench", &shared, || {
         for (artifact, scale, runs, f) in &cases {
-            let seq = measure(
-                artifact,
-                scale,
-                "sequential",
-                Execution::Sequential,
-                *runs,
-                f,
-            );
-            let par = measure(
-                artifact,
-                scale,
-                &format!("parallel:{threads}"),
-                Execution::Parallel { threads },
-                *runs,
-                f,
-            );
-            let spec = measure(
-                artifact,
-                scale,
-                &format!("speculative:{threads}"),
-                Execution::Speculative { threads },
-                *runs,
-                f,
-            );
-            assert_eq!(
-                seq.table_digest, par.table_digest,
-                "{artifact}/{scale}: sequential and parallel tables differ — determinism break"
-            );
-            assert_eq!(
-                seq.table_digest, spec.table_digest,
-                "{artifact}/{scale}: sequential and speculative tables differ — determinism break"
-            );
-            measurements.push(seq);
-            measurements.push(par);
-            measurements.push(spec);
+            measurements.push(measure(artifact, scale, *runs, f));
         }
         for (scale, quick, runs, f) in &dc_cases {
-            let extra = datacenter_extra(*quick);
-            let seq = measure(
-                "datacenter",
-                scale,
-                "sequential",
-                Execution::Sequential,
-                *runs,
-                f,
-            );
-            let par = measure(
-                "datacenter",
-                scale,
-                &format!("parallel:{threads}"),
-                Execution::Parallel { threads },
-                *runs,
-                f,
-            );
-            let spec = measure(
-                "datacenter",
-                scale,
-                &format!("speculative:{threads}"),
-                Execution::Speculative { threads },
-                *runs,
-                f,
-            );
-            assert_eq!(
-                seq.table_digest, par.table_digest,
-                "datacenter/{scale}: sequential and parallel tables differ — determinism break"
-            );
-            assert_eq!(
-                seq.table_digest, spec.table_digest,
-                "datacenter/{scale}: sequential and speculative tables differ — determinism break"
-            );
-            for mut m in [seq, par, spec] {
-                m.extra_json = extra.clone();
-                measurements.push(m);
-            }
+            let mut m = measure("datacenter", scale, *runs, f);
+            m.extra_json = datacenter_extra(*quick);
+            measurements.push(m);
         }
     });
-    set_default_execution(Execution::Sequential);
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"schema\": 1,\n");
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"parallel_threads\": {threads},");
     // Top-level, not a results row: the trajectory gate iterates
     // `results` expecting wall-clock fields.
     match proc_mem {
@@ -410,9 +295,9 @@ fn main() {
     for (i, m) in measurements.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"artifact\": \"{}\", \"scale\": \"{}\", \"mode\": \"{}\", \"runs\": {}, \"wall_min_s\": {:.6}, \"wall_mean_s\": {:.6}, \"table_digest\": \"{:016x}\", \"spec_commits\": {}, \"spec_rollbacks\": {}{}}}",
-            m.artifact, m.scale, m.mode, m.runs, m.wall_min_s, m.wall_mean_s, m.table_digest,
-            m.spec_commits, m.spec_rollbacks, m.extra_json
+            "    {{\"artifact\": \"{}\", \"scale\": \"{}\", \"runs\": {}, \"wall_min_s\": {:.6}, \"wall_mean_s\": {:.6}, \"table_digest\": \"{:016x}\"{}}}",
+            m.artifact, m.scale, m.runs, m.wall_min_s, m.wall_mean_s, m.table_digest,
+            m.extra_json
         );
         json.push_str(if i + 1 < measurements.len() {
             ",\n"

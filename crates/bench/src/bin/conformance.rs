@@ -1,33 +1,24 @@
 //! `conformance` — the determinism gate CI actually runs.
 //!
-//! Four subcommands (see DESIGN.md §11 and §13 for the underlying
+//! Three subcommands (see DESIGN.md §11 and §13 for the underlying
 //! model):
 //!
 //! * `conformance gate [--bless] [--golden DIR]` — recompute every
 //!   bench bin's `--quick` output by invoking the sibling release
-//!   binaries, diff each against the golden registry pinned under
-//!   `results/golden/`, re-run a subset in parallel execution mode
-//!   against the *same* goldens (cross-mode coverage), and byte-compare
-//!   phase-attributed JSON reports across modes. `--bless` re-pins the
-//!   registry after an intentional behaviour change; the PR diff then
-//!   shows exactly which table rows moved.
-//! * `conformance explore [--seed N] [--schedules N] [--threads N]
-//!   [--speculative] [--pipeline fig3|fig6|fault|all]
-//!   [--repro-out PATH]` — run the schedule-perturbation explorer
-//!   (`hpcbd-check`) over representative pipelines; `--speculative`
-//!   drives the perturbed runs under the Time Warp engine; on
-//!   divergence, write a replayable repro file and fail.
-//! * `conformance lint [--pipeline ...]` — run the determinism lint
-//!   matrix (thread sweep, speculative sweep, shuffled polling,
-//!   allocator poisoning) over the same pipelines.
+//!   binaries and diff each against the golden registry pinned under
+//!   `results/golden/`. `--bless` re-pins the registry after an
+//!   intentional behaviour change; the PR diff then shows exactly which
+//!   table rows moved.
+//! * `conformance lint [--pipeline fig3|fig6|fault|all]` — run the
+//!   determinism lint matrix (sequential replay, allocator poisoning,
+//!   telemetry digest identity) over representative pipelines.
 //! * `conformance campaign [--seed N] [--campaigns N] [--plan-out PATH]`
 //!   — run the seeded fault-campaign explorer (`hpcbd-check`): first a
 //!   self-test that plants [`hpcbd_minimpi::RecoveryBug`] and demands
 //!   the harness catch the silent corruption (with a shrunk minimal
 //!   plan), then N adversarial campaigns per runtime (MPI, SHMEM,
-//!   Spark) under every execution mode (sequential, parallel,
-//!   speculative), each of which must end digest-equal to the
-//!   fault-free oracle or in a structured abort.
+//!   Spark), each of which must end digest-equal to the fault-free
+//!   oracle or in a structured abort.
 //!
 //! Exit status is the gate verdict: 0 clean, 1 divergence/mismatch,
 //! 2 usage or environment error.
@@ -35,7 +26,7 @@
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use hpcbd_check::{lint_workload, Explorer, GoldenRegistry, GoldenStatus};
+use hpcbd_check::{lint_workload, GoldenRegistry, GoldenStatus};
 use hpcbd_cluster::Placement;
 use hpcbd_core::bench_pagerank::{figure6, PagerankInput};
 use hpcbd_core::bench_reduce;
@@ -64,22 +55,11 @@ const BINS: &[(&str, &[&str])] = &[
     ("bench_datacenter", &["--quick"]),
 ];
 
-/// Bins additionally re-run under `HPCBD_EXECUTION=parallel:4` and
-/// `HPCBD_EXECUTION=speculative:4` against the same goldens: a cheap
-/// cross-mode determinism check on the two pipelines that stress the
-/// scheduler hardest (iterative allreduce, fault recovery). The
-/// speculative runs are the gate's Time Warp coverage: optimistic
-/// commits and rollbacks must leave every golden byte untouched.
-const CROSS_MODE: &[&str] = &["fig6", "ablation_fault_sweep", "bench_datacenter"];
-const CROSS_MODE_EXECUTIONS: &[&str] = &["parallel:4", "speculative:4"];
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: conformance <gate|explore|lint|campaign> [options]\n\
+        "usage: conformance <gate|lint|campaign> [options]\n\
          \n\
          gate     [--bless] [--golden DIR]\n\
-         explore  [--seed N] [--schedules N] [--threads N] [--speculative]\n\
-         \x20        [--pipeline fig3|fig6|fault|all] [--repro-out PATH]\n\
          lint     [--pipeline fig3|fig6|fault|all]\n\
          campaign [--seed N] [--campaigns N] [--plan-out PATH]"
     );
@@ -97,7 +77,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("gate") => gate(&args[1..]),
-        Some("explore") => explore(&args[1..]),
         Some("lint") => lint(&args[1..]),
         Some("campaign") => campaign(&args[1..]),
         _ => usage(),
@@ -121,20 +100,12 @@ fn sibling(name: &str) -> Result<PathBuf, String> {
     }
 }
 
-/// Run one bench bin and capture its stdout. `execution` is the
-/// `HPCBD_EXECUTION` value, or `None` for the default (sequential).
-fn run_bin(name: &str, extra: &[&str], execution: Option<&str>) -> Result<String, String> {
-    let mut cmd = Command::new(sibling(name)?);
-    cmd.args(extra);
-    match execution {
-        Some(v) => {
-            cmd.env("HPCBD_EXECUTION", v);
-        }
-        None => {
-            cmd.env_remove("HPCBD_EXECUTION");
-        }
-    }
-    let out = cmd.output().map_err(|e| format!("spawn {name}: {e}"))?;
+/// Run one bench bin and capture its stdout.
+fn run_bin(name: &str, extra: &[&str]) -> Result<String, String> {
+    let out = Command::new(sibling(name)?)
+        .args(extra)
+        .output()
+        .map_err(|e| format!("spawn {name}: {e}"))?;
     if !out.status.success() {
         return Err(format!(
             "{name} exited with {}:\n{}",
@@ -158,86 +129,41 @@ fn gate(args: &[String]) -> ExitCode {
     );
 
     let mut failures = 0u32;
-    fn check(registry: &GoldenRegistry, failures: &mut u32, name: &str, output: &str, label: &str) {
-        match registry.check(name, output) {
-            Ok(GoldenStatus::Match) => println!("  PASS {label}"),
+    for (name, extra) in BINS {
+        let output = match run_bin(name, extra) {
+            Ok(output) => output,
+            Err(e) => {
+                failures += 1;
+                println!("  FAIL {name}: {e}");
+                continue;
+            }
+        };
+        if bless {
+            match registry.bless(name, &output) {
+                Ok(()) => println!("  BLESS {name}"),
+                Err(e) => {
+                    failures += 1;
+                    println!("  FAIL {name}: bless: {e}");
+                }
+            }
+            continue;
+        }
+        match registry.check(name, &output) {
+            Ok(GoldenStatus::Match) => println!("  PASS {name}"),
             Ok(GoldenStatus::Missing) => {
-                *failures += 1;
-                println!("  FAIL {label}: no golden pinned (run `conformance gate --bless`)");
+                failures += 1;
+                println!("  FAIL {name}: no golden pinned (run `conformance gate --bless`)");
             }
             Ok(GoldenStatus::Mismatch { diag }) => {
-                *failures += 1;
-                println!("  FAIL {label}:");
+                failures += 1;
+                println!("  FAIL {name}:");
                 for line in diag.lines() {
                     println!("       {line}");
                 }
             }
             Err(e) => {
-                *failures += 1;
-                println!("  FAIL {label}: registry I/O error: {e}");
-            }
-        }
-    }
-
-    for (name, extra) in BINS {
-        match run_bin(name, extra, None) {
-            Ok(output) => {
-                if bless {
-                    match registry.bless(name, &output) {
-                        Ok(()) => println!("  BLESS {name}"),
-                        Err(e) => {
-                            failures += 1;
-                            println!("  FAIL {name}: bless: {e}");
-                        }
-                    }
-                } else {
-                    check(&registry, &mut failures, name, &output, name);
-                }
-            }
-            Err(e) => {
                 failures += 1;
-                println!("  FAIL {name}: {e}");
-            }
-        }
-    }
-
-    // Cross-mode: the same goldens must reproduce under the parallel
-    // engine — goldens double as cross-mode determinism oracles.
-    if !bless {
-        for name in CROSS_MODE {
-            let extra = BINS
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, e)| *e)
-                .unwrap();
-            for exec in CROSS_MODE_EXECUTIONS {
-                match run_bin(name, extra, Some(exec)) {
-                    Ok(output) => check(
-                        &registry,
-                        &mut failures,
-                        name,
-                        &output,
-                        &format!("{name} [{exec}]"),
-                    ),
-                    Err(e) => {
-                        failures += 1;
-                        println!("  FAIL {name} [{exec}]: {e}");
-                    }
-                }
-            }
-        }
-
-        // Phase-attributed reports must be byte-identical across modes.
-        for exec in CROSS_MODE_EXECUTIONS {
-            match report_cross_mode(exec) {
-                Ok(()) => println!("  PASS fig6 report [sequential == {exec}]"),
-                Err(e) => {
-                    failures += 1;
-                    println!("  FAIL fig6 report cross-mode [{exec}]:");
-                    for line in e.lines() {
-                        println!("       {line}");
-                    }
-                }
+                println!("  FAIL {name}: registry I/O error: {e}");
             }
         }
     }
@@ -251,43 +177,9 @@ fn gate(args: &[String]) -> ExitCode {
     }
 }
 
-/// Run `fig6 --quick --report` sequentially and under `exec`, and
-/// byte-compare the two `hpcbd.report.v1` JSON documents.
-fn report_cross_mode(exec: &str) -> Result<(), String> {
-    let tmp = std::env::temp_dir();
-    let tag = exec.replace(':', "-");
-    let seq_path = tmp.join(format!("hpcbd-conf-{}-seq.json", std::process::id()));
-    let par_path = tmp.join(format!("hpcbd-conf-{}-{tag}.json", std::process::id()));
-    let result = (|| {
-        run_bin(
-            "fig6",
-            &["--quick", "--report", &seq_path.display().to_string()],
-            None,
-        )?;
-        run_bin(
-            "fig6",
-            &["--quick", "--report", &par_path.display().to_string()],
-            Some(exec),
-        )?;
-        let seq = std::fs::read_to_string(&seq_path).map_err(|e| format!("read report: {e}"))?;
-        let par = std::fs::read_to_string(&par_path).map_err(|e| format!("read report: {e}"))?;
-        if seq == par {
-            Ok(())
-        } else {
-            Err(match hpcbd_obs::first_divergence(&seq, &par) {
-                Some(d) => d.render(),
-                None => "reports differ only in trailing whitespace".to_string(),
-            })
-        }
-    })();
-    let _ = std::fs::remove_file(&seq_path);
-    let _ = std::fs::remove_file(&par_path);
-    result
-}
+// ---------------------------------------------------------------- lint
 
-// ------------------------------------------------------- explore / lint
-
-/// The pipelines the explorer and lint cover: the reduce collective
+/// The pipelines the lint covers: the reduce collective
 /// sweep (fig3), the iterative PageRank pipeline (fig6), and an
 /// adversarial faulty workload (crash + straggler + degraded link +
 /// message drops). Small configurations — each must be cheap enough to
@@ -366,70 +258,6 @@ fn fault_pipeline() {
         });
     }
     sim.run();
-}
-
-fn explore(args: &[String]) -> ExitCode {
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| parse_u64(&v))
-        .unwrap_or(0xC0FFEE);
-    let schedules: usize = flag_value(args, "--schedules")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let threads: usize = flag_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let speculative = args.iter().any(|a| a == "--speculative");
-    let filter = flag_value(args, "--pipeline").unwrap_or_else(|| "all".to_string());
-    let repro_out = flag_value(args, "--repro-out");
-    let pipes = match pipelines(&filter) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-
-    println!(
-        "conformance explore: seed={seed:#x} schedules={schedules} threads={threads} \
-         pipelines={filter}{}",
-        if speculative { " (speculative)" } else { "" }
-    );
-    for (name, workload) in pipes {
-        let report = Explorer::new(seed)
-            .schedules(schedules)
-            .threads(threads)
-            .speculative(speculative)
-            .explore(workload);
-        match &report.divergence {
-            None => println!(
-                "  PASS {name}: {} perturbed schedule(s), oracle sha256={}",
-                report.schedules_run, report.oracle_digest
-            ),
-            Some(d) => {
-                println!(
-                    "  FAIL {name} after {} schedule(s):\n{}",
-                    report.schedules_run,
-                    d.render()
-                );
-                if let Some(path) = &repro_out {
-                    let repro = format!(
-                        "hpcbd conformance divergence repro\n\
-                         pipeline:  {name}\n\
-                         command:   conformance explore --pipeline {name} --seed {seed:#x} \
-                         --schedules {schedules} --threads {threads}{}\n\
-                         oracle sha256: {}\n\n{}",
-                        if speculative { " --speculative" } else { "" },
-                        report.oracle_digest,
-                        d.render()
-                    );
-                    match std::fs::write(path, repro) {
-                        Ok(()) => println!("  repro written to {path}"),
-                        Err(e) => eprintln!("  failed to write repro {path}: {e}"),
-                    }
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!("conformance explore: clean");
-    ExitCode::SUCCESS
 }
 
 fn lint(args: &[String]) -> ExitCode {
@@ -665,7 +493,6 @@ mod campaign_workloads {
 
 fn campaign(args: &[String]) -> ExitCode {
     use hpcbd_check::{generate_campaigns, shrink_plan, CampaignTally};
-    use hpcbd_simnet::{set_default_execution, Execution};
 
     let seed: u64 = flag_value(args, "--seed")
         .and_then(|v| parse_u64(&v))
@@ -674,7 +501,7 @@ fn campaign(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
     let plan_out = flag_value(args, "--plan-out");
-    println!("conformance campaign: seed={seed:#x} campaigns={count} per runtime+mode");
+    println!("conformance campaign: seed={seed:#x} campaigns={count} per runtime");
 
     // Structured aborts and classified violations unwind through
     // catch_unwind by design; the default hook's backtrace spew for
@@ -699,56 +526,43 @@ fn campaign(args: &[String]) -> ExitCode {
 
     let mut failures = 0u32;
     let mut artifact = String::new();
-    for exec in [
-        Execution::Sequential,
-        Execution::Parallel { threads: 4 },
-        Execution::Speculative { threads: 4 },
-    ] {
-        set_default_execution(exec);
-        let mode = match exec {
-            Execution::Sequential => "sequential",
-            Execution::Parallel { .. } => "parallel:4",
-            Execution::Speculative { .. } => "speculative:4",
-        };
-        for subject in campaign_workloads::subjects() {
-            let campaigns = generate_campaigns(&subject.space, seed, count);
-            let mut tally = CampaignTally::default();
-            for c in &campaigns {
-                let outcome = subject.classify(&c.plan);
-                let shrunk = if outcome.is_violation() {
-                    let minimal = shrink_plan(&c.plan, |p| subject.classify(p).is_violation());
-                    Some(minimal.describe())
-                } else {
-                    None
-                };
-                tally.record(c, &outcome, shrunk.as_deref());
-            }
-            if tally.violations.is_empty() {
-                println!(
-                    "  PASS {} [{mode}]: {} campaign(s) — {} oracle-equal, {} structured abort(s)",
-                    subject.name,
-                    tally.total(),
-                    tally.oracle_equal,
-                    tally.aborts
-                );
+    for subject in campaign_workloads::subjects() {
+        let campaigns = generate_campaigns(&subject.space, seed, count);
+        let mut tally = CampaignTally::default();
+        for c in &campaigns {
+            let outcome = subject.classify(&c.plan);
+            let shrunk = if outcome.is_violation() {
+                let minimal = shrink_plan(&c.plan, |p| subject.classify(p).is_violation());
+                Some(minimal.describe())
             } else {
-                failures += tally.violations.len() as u32;
-                for (kind, vseed, detail) in &tally.violations {
-                    println!("  FAIL {} [{mode}] {kind} seed={vseed:#x}:", subject.name);
-                    for line in detail.lines() {
-                        println!("       {line}");
-                    }
-                    artifact.push_str(&format!(
-                        "runtime: {}\nexecution: {mode}\nkind: {kind}\nseed: {vseed:#x}\n\
-                         replay: conformance campaign --seed {vseed:#x} --campaigns 1\n\
-                         {detail}\n\n",
-                        subject.name
-                    ));
+                None
+            };
+            tally.record(c, &outcome, shrunk.as_deref());
+        }
+        if tally.violations.is_empty() {
+            println!(
+                "  PASS {}: {} campaign(s) — {} oracle-equal, {} structured abort(s)",
+                subject.name,
+                tally.total(),
+                tally.oracle_equal,
+                tally.aborts
+            );
+        } else {
+            failures += tally.violations.len() as u32;
+            for (kind, vseed, detail) in &tally.violations {
+                println!("  FAIL {} {kind} seed={vseed:#x}:", subject.name);
+                for line in detail.lines() {
+                    println!("       {line}");
                 }
+                artifact.push_str(&format!(
+                    "runtime: {}\nkind: {kind}\nseed: {vseed:#x}\n\
+                     replay: conformance campaign --seed {vseed:#x} --campaigns 1\n\
+                     {detail}\n\n",
+                    subject.name
+                ));
             }
         }
     }
-    set_default_execution(Execution::Sequential);
     std::panic::set_hook(default_hook);
 
     if let (Some(path), false) = (&plan_out, artifact.is_empty()) {

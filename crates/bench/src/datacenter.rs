@@ -12,8 +12,7 @@
 //!    disabled: the control for what queue-share reclamation buys.
 //!
 //! Everything is virtual-time deterministic, so the rendered table is
-//! byte-identical across sequential/parallel/speculative execution —
-//! CI diffs the three.
+//! byte-identical from run to run (pinned by the golden registry).
 
 use hpcbd_sched::{
     factory, quantile_ns, run, QueueSpec, RateProcess, ScenarioOutcome, ScenarioSpec, SourceSpec,
@@ -297,5 +296,20 @@ mod tests {
         let kills_off: u64 = without.stats.queues.iter().map(|q| q.kills_sent).sum();
         assert_eq!(kills_off, 0);
         assert!(kills > 0, "the rush must trigger at least one reclaim");
+    }
+
+    /// An arrival draw under which a gang peer's first ring message
+    /// reached an idle slot worker before its own task did: every
+    /// section must still complete every offered job.
+    #[test]
+    fn busy_day_completes_every_job_at_another_arrival_seed() {
+        for (load, preemption) in [(Load::Idle, true), (Load::Rush, true), (Load::Rush, false)] {
+            let mut spec = scenario(load, preemption, false);
+            spec.seed = hpcbd_simnet::det_hash(&(3u64, "datacenter_day"));
+            assert_eq!(spec.seed, 0x933d_1f1a_a328_87cb);
+            let out = run(&spec);
+            let completed: u64 = out.stats.queues.iter().map(|q| q.completed).sum();
+            assert_eq!(completed, out.offered, "section {}", spec.name);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Seeded fault-campaign explorer: adversarial robustness testing.
 //!
-//! The schedule explorer ([`crate::explore`]) asks "does every *legal
-//! schedule* reproduce the oracle?"; this module asks the companion
-//! robustness question: "does every *adversarial fault plan* leave the
+//! The determinism lint ([`crate::lint`]) asks "does every rerun
+//! reproduce the oracle?"; this module asks the companion robustness
+//! question: "does every *adversarial fault plan* leave the
 //! runtime either digest-equal to the fault-free oracle or terminated
 //! with a structured abort?" Anything else — a silent corruption, a
 //! non-structured panic, a simulated deadlock — is a **violation**,
@@ -338,8 +338,7 @@ where
     plan.from_atoms(&atoms)
 }
 
-/// Aggregate tallies of a campaign sweep (one runtime, one execution
-/// mode).
+/// Aggregate tallies of a campaign sweep (one runtime).
 #[derive(Debug, Clone, Default)]
 pub struct CampaignTally {
     /// Runs digest-equal to the oracle.

@@ -5,33 +5,19 @@
 //! deterministic export order (`(start, pid, end, kind)`), so the first
 //! index at which they disagree *is* the minimal divergent prefix: every
 //! earlier event is identical in both runs, and truncating either stream
-//! just before that index yields equal prefixes. The explorer therefore
+//! just before that index yields equal prefixes. The lint therefore
 //! "shrinks" a divergence simply by scanning for that index — no
 //! re-execution needed — and reports it as
 //! `(event index, pids, order key, first differing record)`.
 
 use hpcbd_simnet::RunCapture;
 
-/// How a divergence replays, established by re-running the same
-/// perturbation seed (see `explore.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Classification {
-    /// The divergent run reproduces bit-identically under its own seed:
-    /// the outcome depends on the (legal) schedule, i.e. the engine's
-    /// determinism contract itself is broken.
-    ScheduleDependent,
-    /// The divergent run does not even reproduce itself: some host
-    /// nondeterminism (hash seeds, addresses, wall clock) leaks into
-    /// virtual-time state.
-    HostNondeterminism,
-}
-
 /// A minimal first-divergence report between an oracle run and a
-/// perturbed / replayed run.
+/// replayed run.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Which harness condition produced the divergent run
-    /// (e.g. `perturbed schedule seed=0x1234`, `thread sweep t=8`).
+    /// (e.g. `sequential replay`, `allocator poisoning round=1`).
     pub condition: String,
     /// Index of the divergent capture within the workload's capture
     /// sequence (a workload may run several simulations).
@@ -50,8 +36,6 @@ pub struct Divergence {
     pub expected: String,
     /// The divergent run's value at the same point.
     pub got: String,
-    /// Replay classification, once established.
-    pub classification: Option<Classification>,
 }
 
 impl Divergence {
@@ -74,17 +58,6 @@ impl Divergence {
         }
         out.push_str(&format!("  expected:    {}\n", self.expected));
         out.push_str(&format!("  got:         {}\n", self.got));
-        match self.classification {
-            Some(Classification::ScheduleDependent) => out.push_str(
-                "  class:       schedule-dependent (reproduces under its seed; \
-                 determinism contract broken)\n",
-            ),
-            Some(Classification::HostNondeterminism) => out.push_str(
-                "  class:       host nondeterminism (does not reproduce under \
-                 its own seed; hash seeds / addresses / wall clock leak)\n",
-            ),
-            None => {}
-        }
         out
     }
 }
@@ -104,7 +77,6 @@ fn mismatch(
         field: field.to_string(),
         expected: format!("{expected:?}"),
         got: format!("{got:?}"),
-        classification: None,
     }
 }
 
@@ -272,8 +244,6 @@ mod tests {
             ],
             telemetry_interval: None,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
         }
     }
 
@@ -292,8 +262,6 @@ mod tests {
             labels: "".into(),
             op: hpcbd_simnet::MetricOp::CounterAdd(1),
         });
-        on.spec_commits = 7;
-        on.spec_rollbacks = 2;
         assert_eq!(capture_digest(&[cap()]), capture_digest(&[on.clone()]));
         assert!(compare_runs(&[cap()], &[on]).is_none());
     }

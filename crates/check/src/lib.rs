@@ -1,26 +1,20 @@
-//! `hpcbd-check` — the schedule-exploration conformance harness.
+//! `hpcbd-check` — the conformance harness.
 //!
 //! The simulator's headline claim is *bit determinism*: every virtual
 //! time, table, trace and report is a pure function of the workload,
-//! identical across sequential and parallel execution and across hosts.
-//! This crate tests that claim adversarially instead of incidentally:
+//! identical from run to run and across hosts. This crate tests that
+//! claim adversarially instead of incidentally:
 //!
-//! * [`explore`] drives the parallel engine through many alternate
-//!   *legal* schedules (seeded perturbations of grant timing, token
-//!   retention, fast-path use and lock-race order — see
-//!   [`hpcbd_simnet::perturb`]) and demands every run reproduce the
-//!   sequential oracle bit-for-bit. Divergences are shrunk to the first
-//!   differing event — `(event index, pids, order key, record)` — and
-//!   classified by replay as schedule-dependent or host nondeterminism.
+//! * [`lint`] re-runs workloads under skewed host conditions (plain
+//!   replay, allocator-address poisoning, telemetry sampling) and
+//!   demands bit-identical captures. Divergences are shrunk to the first
+//!   differing event — `(event index, pids, order key, record)`.
 //! * [`campaign`] generates seeded adversarial fault campaigns (crash
 //!   storms, correlated failures, straggler bursts, partition+drop
 //!   combos, crashes inside checkpoint drains) and demands every run
 //!   end digest-equal to the fault-free oracle or in a structured
 //!   abort — never a hang, never a silent corruption. Violations are
 //!   shrunk to a minimal fault plan by delta debugging.
-//! * [`lint`] double-runs workloads under skewed host conditions:
-//!   thread-count sweeps, shuffled shard polling, allocator-address
-//!   poisoning.
 //! * [`golden`] pins full `--quick` outputs of every bench bin under
 //!   `results/golden/` with a SHA-256 manifest; the `conformance` bin
 //!   (in `hpcbd-bench`) recomputes and diffs them in CI.
@@ -31,7 +25,6 @@
 
 pub mod campaign;
 pub mod compare;
-pub mod explore;
 pub mod golden;
 pub mod lint;
 pub mod sha256;
@@ -40,8 +33,7 @@ pub use campaign::{
     classify_run, generate_campaigns, generate_plan, shrink_plan, Campaign, CampaignKind,
     CampaignOutcome, CampaignSpace, CampaignTally,
 };
-pub use compare::{capture_digest, compare_captures, compare_runs, Classification, Divergence};
-pub use explore::{harness_lock, ExploreReport, Explorer};
+pub use compare::{capture_digest, compare_captures, compare_runs, Divergence};
 pub use golden::{GoldenRegistry, GoldenStatus, MANIFEST};
 pub use lint::{lint_workload, LintReport};
 pub use sha256::{sha256_hex, Sha256};

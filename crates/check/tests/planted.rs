@@ -5,12 +5,12 @@
 //! that iterates a `std::collections::HashMap` and lets the iteration
 //! order — randomized per map instance by `RandomState` — decide the
 //! order of simulation-visible operations. Every run permutes the
-//! compute schedule, so the explorer's very first comparison diverges,
-//! and the report must name the first differing event index.
+//! compute schedule, so the lint's very first comparison diverges, and
+//! the report must name the first differing event index.
 
 use std::collections::HashMap;
 
-use hpcbd_check::{lint_workload, Classification, Explorer};
+use hpcbd_check::lint_workload;
 use hpcbd_simnet::{NodeId, Sim, Topology, Work};
 
 /// A single-process "reduce" whose visible-op order follows HashMap
@@ -33,32 +33,6 @@ fn planted_hashmap_reduce() {
 }
 
 #[test]
-fn explorer_catches_planted_hashmap_iteration_order() {
-    let report = Explorer::new(0xBAD)
-        .schedules(4)
-        .explore(planted_hashmap_reduce);
-    let d = report
-        .divergence
-        .expect("planted HashMap-order nondeterminism must be caught");
-    assert!(
-        d.event_index.is_some(),
-        "report must name the first differing event index:\n{}",
-        d.render()
-    );
-    assert!(d.order_key.is_some(), "report must carry the order key");
-    assert_eq!(
-        d.classification,
-        Some(Classification::HostNondeterminism),
-        "per-instance hash seeds do not reproduce under a replayed \
-         schedule seed:\n{}",
-        d.render()
-    );
-    let rendered = d.render();
-    assert!(rendered.contains("event index:"), "render: {rendered}");
-    assert!(rendered.contains("order key:"), "render: {rendered}");
-}
-
-#[test]
 fn lint_catches_planted_hashmap_iteration_order() {
     let report = lint_workload(planted_hashmap_reduce);
     let d = report
@@ -67,4 +41,13 @@ fn lint_catches_planted_hashmap_iteration_order() {
     // The very first skew condition (sequential replay) already exposes
     // a fresh-hash-seed leak.
     assert_eq!(d.condition, "sequential replay");
+    assert!(
+        d.event_index.is_some(),
+        "report must name the first differing event index:\n{}",
+        d.render()
+    );
+    assert!(d.order_key.is_some(), "report must carry the order key");
+    let rendered = d.render();
+    assert!(rendered.contains("event index:"), "render: {rendered}");
+    assert!(rendered.contains("order key:"), "render: {rendered}");
 }

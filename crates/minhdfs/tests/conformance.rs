@@ -1,10 +1,10 @@
-//! Schedule-exploration conformance: an HDFS client doing replicated
-//! reads and a pipelined write must be bit-identical to the sequential
-//! oracle under perturbed legal schedules (datanode servers are
+//! Determinism conformance: an HDFS client doing replicated reads and
+//! a pipelined write must reproduce its oracle run bit-identically
+//! under every determinism-lint condition (datanode servers are
 //! long-lived simulated processes, so this exercises the harness on a
 //! service-style workload too).
 
-use hpcbd_check::Explorer;
+use hpcbd_check::lint_workload;
 use hpcbd_minhdfs::{Hdfs, HdfsConfig};
 use hpcbd_simnet::{NodeId, Sim, Topology};
 
@@ -24,10 +24,6 @@ fn hdfs_workload() {
 }
 
 #[test]
-fn hdfs_read_write_is_schedule_independent() {
-    Explorer::new(0x4846)
-        .schedules(8)
-        .threads(4)
-        .explore(hdfs_workload)
-        .assert_deterministic();
+fn hdfs_read_write_is_deterministic() {
+    lint_workload(hdfs_workload).assert_clean();
 }

@@ -301,7 +301,7 @@ impl Checkpointer {
     /// Model a restart: a job-relaunch stall, agreement on the restart
     /// point (async mode: MIN-allreduce over per-rank drained
     /// watermarks — drain completion times differ across ranks),
-    /// re-reading state from scratch, and a barrier. Execution resumes
+    /// re-reading state from scratch, and a barrier. The job resumes
     /// from the returned iteration.
     pub fn restart(&mut self, rank: &mut MpiRank, relaunch_stall: SimDuration) -> u32 {
         rank.ctx().advance(relaunch_stall);

@@ -1,8 +1,8 @@
-//! Schedule-exploration conformance: a representative MPI job must be
-//! bit-identical to the sequential oracle under perturbed legal
-//! schedules (see `hpcbd_check::explore`).
+//! Determinism conformance: a representative MPI job must reproduce its
+//! oracle run bit-identically under every determinism-lint condition
+//! (see `hpcbd_check::lint`).
 
-use hpcbd_check::Explorer;
+use hpcbd_check::lint_workload;
 use hpcbd_cluster::Placement;
 use hpcbd_minimpi::{mpirun, ReduceOp};
 
@@ -28,10 +28,6 @@ fn collective_workload() {
 }
 
 #[test]
-fn mpi_collectives_are_schedule_independent() {
-    Explorer::new(0x4D50)
-        .schedules(8)
-        .threads(4)
-        .explore(collective_workload)
-        .assert_deterministic();
+fn mpi_collectives_are_deterministic() {
+    lint_workload(collective_workload).assert_clean();
 }

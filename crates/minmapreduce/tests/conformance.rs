@@ -1,11 +1,10 @@
-//! Schedule-exploration conformance: a full MapReduce job (splits,
-//! spills, shuffle servers, reduce merge, replicated output) must be
-//! bit-identical to the sequential oracle under perturbed legal
-//! schedules.
+//! Determinism conformance: a full MapReduce job (splits, spills,
+//! shuffle servers, reduce merge, replicated output) must reproduce its
+//! oracle run bit-identically under every determinism-lint condition.
 
 use std::sync::Arc;
 
-use hpcbd_check::Explorer;
+use hpcbd_check::lint_workload;
 use hpcbd_minmapreduce::{InputFormat, MrJobBuilder};
 use hpcbd_simnet::Work;
 
@@ -47,10 +46,6 @@ fn wordcount_workload() {
 }
 
 #[test]
-fn mapreduce_job_is_schedule_independent() {
-    Explorer::new(0x4D52)
-        .schedules(6)
-        .threads(4)
-        .explore(wordcount_workload)
-        .assert_deterministic();
+fn mapreduce_job_is_deterministic() {
+    lint_workload(wordcount_workload).assert_clean();
 }

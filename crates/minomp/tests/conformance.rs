@@ -1,10 +1,10 @@
-//! Schedule-exploration conformance: a simulated process that mixes the
-//! *real* fork-join pool with the OpenMP timing model must stay
-//! bit-identical to the sequential oracle under perturbed schedules —
+//! Determinism conformance: a simulated process that mixes the *real*
+//! fork-join pool with the OpenMP timing model must reproduce its
+//! oracle run bit-identically under every determinism-lint condition —
 //! even with genuine OS threads (the pool's workers) running inside the
 //! simulated process's compute segments.
 
-use hpcbd_check::Explorer;
+use hpcbd_check::lint_workload;
 use hpcbd_minomp::{OmpModel, OmpPool, Schedule};
 use hpcbd_simnet::{NodeId, Sim, Topology, Work};
 
@@ -45,10 +45,6 @@ fn omp_region_workload() {
 }
 
 #[test]
-fn omp_regions_are_schedule_independent() {
-    Explorer::new(0x4F4D)
-        .schedules(8)
-        .threads(4)
-        .explore(omp_region_workload)
-        .assert_deterministic();
+fn omp_regions_are_deterministic() {
+    lint_workload(omp_region_workload).assert_clean();
 }

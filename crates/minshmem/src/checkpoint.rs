@@ -269,7 +269,7 @@ impl ShmemCheckpointer {
     /// Model a restart: a job-relaunch stall, agreement on the restart
     /// point (async mode: min over an allgather of per-PE drained
     /// watermarks — drain completion times differ across PEs),
-    /// re-reading state from scratch, and a barrier. Execution resumes
+    /// re-reading state from scratch, and a barrier. The job resumes
     /// from the returned iteration.
     pub fn restart(&mut self, pe: &mut PeCtx, relaunch_stall: SimDuration) -> u32 {
         pe.ctx().advance(relaunch_stall);

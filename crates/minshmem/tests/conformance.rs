@@ -1,8 +1,8 @@
-//! Schedule-exploration conformance: a PGAS workload with one-sided
-//! puts and a global barrier must be bit-identical to the sequential
-//! oracle under perturbed legal schedules.
+//! Determinism conformance: a PGAS workload with one-sided puts and a
+//! global barrier must reproduce its oracle run bit-identically under
+//! every determinism-lint condition.
 
-use hpcbd_check::Explorer;
+use hpcbd_check::lint_workload;
 use hpcbd_cluster::Placement;
 use hpcbd_minshmem::shmem_run;
 
@@ -20,10 +20,6 @@ fn pgas_workload() {
 }
 
 #[test]
-fn shmem_puts_are_schedule_independent() {
-    Explorer::new(0x5348)
-        .schedules(8)
-        .threads(4)
-        .explore(pgas_workload)
-        .assert_deterministic();
+fn shmem_puts_are_deterministic() {
+    lint_workload(pgas_workload).assert_clean();
 }

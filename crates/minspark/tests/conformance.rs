@@ -1,8 +1,8 @@
-//! Schedule-exploration conformance: a Spark pipeline with a narrow
-//! map/filter stage and a wide reduceByKey shuffle must be bit-identical
-//! to the sequential oracle under perturbed legal schedules.
+//! Determinism conformance: a Spark pipeline with a narrow map/filter
+//! stage and a wide reduceByKey shuffle must reproduce its oracle run
+//! bit-identically under every determinism-lint condition.
 
-use hpcbd_check::Explorer;
+use hpcbd_check::lint_workload;
 use hpcbd_minspark::{SparkCluster, SparkConfig};
 
 fn spark_workload() {
@@ -26,10 +26,6 @@ fn spark_workload() {
 }
 
 #[test]
-fn spark_shuffle_is_schedule_independent() {
-    Explorer::new(0x5350)
-        .schedules(6)
-        .threads(4)
-        .explore(spark_workload)
-        .assert_deterministic();
+fn spark_shuffle_is_deterministic() {
+    lint_workload(spark_workload).assert_clean();
 }

@@ -286,8 +286,6 @@ mod tests {
             events,
             telemetry_interval: None,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
         }
     }
 

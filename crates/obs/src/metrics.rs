@@ -24,14 +24,12 @@
 //! ## Determinism rule (DESIGN.md §15)
 //!
 //! Live engine state (how deep the ready queue actually was at a wall
-//! instant) depends on the execution mode and the host schedule, so it
-//! can never be sampled directly without breaking the cross-mode
-//! byte-identity contract. Every series here is instead a pure function
-//! of virtual-time state: the sorted event stream and the sorted metric
-//! points, both of which are already bit-identical across
-//! `sequential` / `parallel` / `speculative:N`. Telemetry therefore
-//! serializes byte-identically across modes, and is excluded from
-//! conformance digests exactly like `spec_commits`.
+//! instant) depends on the host, so it is never sampled directly.
+//! Every series here is instead a pure function of virtual-time state:
+//! the sorted event stream and the sorted metric points, both of which
+//! are bit-identical from run to run. Telemetry therefore serializes
+//! byte-identically across runs, and is excluded from conformance
+//! digests so that sampling never changes one.
 //!
 //! ## Sampler tick semantics
 //!
@@ -838,8 +836,6 @@ mod tests {
             events,
             telemetry_interval: interval,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
         }
     }
 

@@ -176,8 +176,6 @@ mod tests {
             ],
             telemetry_interval: None,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
         };
         let graph = match_events(&cap.events);
         let json = to_perfetto_json(&cap, &graph);
@@ -218,8 +216,6 @@ mod tests {
             events: Vec::new(),
             telemetry_interval: Some(10),
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
         };
         let graph = match_events(&cap.events);
         let json = to_perfetto_json_with_telemetry(&cap, &graph, Some(&telemetry));

@@ -230,7 +230,7 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
     // Attach the (wall-clock, opt-in) host profile to the telemetry
     // section; without telemetry there is nowhere to surface it.
     let telemetry = collect_telemetry(cap).map(|mut t| {
-        t.host_profile = crate::selfprof::host_profile(cap);
+        t.host_profile = crate::selfprof::host_profile();
         t
     });
 
@@ -590,8 +590,6 @@ mod tests {
             dropped_msgs: 0,
             telemetry_interval: None,
             metric_points: Vec::new(),
-            spec_commits: 0,
-            spec_rollbacks: 0,
             events: vec![
                 ev(
                     0,

@@ -1,70 +1,46 @@
 //! Report-side bridge to the engine's host self-profiler
-//! ([`hpcbd_simnet::selfprof`]): folds the counter snapshot plus the
-//! capture's speculation totals into the `host_profile` rows attached
-//! to the report's `telemetry` section.
+//! ([`hpcbd_simnet::selfprof`]): folds the counter snapshot into the
+//! `host_profile` rows attached to the report's `telemetry` section.
 //!
-//! Everything here is wall-clock-dependent by design — which subsystems
-//! the host exercised depends on the execution mode and the scheduler —
-//! so the section exists to explain *why a BENCH row moved*, not to be
-//! compared across modes. It is emitted only when `HPCBD_SELFPROF` is
-//! on, keeping default telemetry byte-identical across
-//! `sequential` / `parallel` / `speculative:N`.
+//! Everything here is host-dependent by design (the run wall time is a
+//! wall-clock reading), so the section exists to explain *why a BENCH
+//! row moved*, not to be compared across runs. It is emitted only when
+//! `HPCBD_SELFPROF` is on, keeping default telemetry byte-identical
+//! from run to run.
 
-use hpcbd_simnet::observe::RunCapture;
-
-/// Build the `host_profile` rows for one captured run, or `None` when
-/// the self-profiler is off. Rows are the engine's counter snapshot
-/// (in [`hpcbd_simnet::HOST_OP_NAMES`] order, plus `run_wall_ns` and
-/// `runs`) followed by the run's cumulative speculation outcomes.
-pub fn host_profile(cap: &RunCapture) -> Option<Vec<(String, u64)>> {
+/// Build the `host_profile` rows, or `None` when the self-profiler is
+/// off. Rows are the engine's counter snapshot, in
+/// [`hpcbd_simnet::HOST_OP_NAMES`] order plus `run_wall_ns` and `runs`.
+pub fn host_profile() -> Option<Vec<(String, u64)>> {
     if !hpcbd_simnet::selfprof_enabled() {
         return None;
     }
-    let mut rows: Vec<(String, u64)> = hpcbd_simnet::selfprof_snapshot()
-        .into_iter()
-        .map(|(name, v)| (name.to_string(), v))
-        .collect();
-    rows.push(("spec_commits".to_string(), cap.spec_commits));
-    rows.push(("spec_rollbacks".to_string(), cap.spec_rollbacks));
-    Some(rows)
+    Some(
+        hpcbd_simnet::selfprof_snapshot()
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcbd_simnet::{NodeId, SimTime};
-
-    fn cap() -> RunCapture {
-        RunCapture {
-            proc_names: vec!["a".into()],
-            proc_nodes: vec![NodeId(0)],
-            finishes: vec![SimTime(1)],
-            stats: vec![Default::default()],
-            makespan: SimTime(1),
-            cluster_nodes: 1,
-            dropped_msgs: 0,
-            events: Vec::new(),
-            telemetry_interval: Some(10),
-            metric_points: Vec::new(),
-            spec_commits: 3,
-            spec_rollbacks: 1,
-        }
-    }
 
     #[test]
-    fn profile_rows_follow_the_snapshot_plus_spec_totals() {
+    fn profile_rows_follow_the_snapshot() {
         // The profiler flag is process-global; drive it explicitly and
         // restore the off state afterwards.
         hpcbd_simnet::set_selfprof(false);
-        assert!(host_profile(&cap()).is_none());
+        assert!(host_profile().is_none());
         hpcbd_simnet::set_selfprof(true);
-        let rows = host_profile(&cap()).expect("profiler on");
+        let rows = host_profile().expect("profiler on");
         hpcbd_simnet::set_selfprof(false);
-        assert_eq!(rows.len(), hpcbd_simnet::HOST_OP_NAMES.len() + 4);
+        assert_eq!(rows.len(), hpcbd_simnet::HOST_OP_NAMES.len() + 2);
         for (row, &name) in rows.iter().zip(hpcbd_simnet::HOST_OP_NAMES.iter()) {
             assert_eq!(row.0, name);
         }
-        assert_eq!(rows[rows.len() - 2], ("spec_commits".to_string(), 3));
-        assert_eq!(rows[rows.len() - 1], ("spec_rollbacks".to_string(), 1));
+        assert_eq!(rows[rows.len() - 2].0, "run_wall_ns");
+        assert_eq!(rows[rows.len() - 1].0, "runs");
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! Every decision happens in one process at virtual times fixed by the
 //! engine's total order of message arrivals, so the schedule is
-//! bit-identical under sequential, parallel and speculative execution.
+//! bit-identical from run to run.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -84,9 +84,21 @@ struct Dispatch {
 /// Stale kill notices — the task finished while the kill was in flight
 /// — are consumed and ignored; the scheduler resolves that race on its
 /// side by treating the completion as authoritative.
+///
+/// The idle loop listens to the scheduler only. A gang's tasks are
+/// dispatched one send at a time, so a peer that got its task first can
+/// message this slot before this slot's own task arrives; that early
+/// job-channel message must wait in the mailbox for the segment's
+/// `recv`. Job-channel traffic can never be stale: gang members are
+/// never preempted and every ring step's send has a matching receive,
+/// so no attempt leaves messages behind.
 pub fn slot_worker(ctx: &mut ProcCtx, sched: Pid, control: Transport) {
+    let from_sched = MatchSpec {
+        src: Some(sched),
+        tag: None,
+    };
     loop {
-        let m = ctx.recv(MatchSpec::ANY);
+        let m = ctx.recv(from_sched);
         match m.tag {
             TAG_TASK => {
                 let d: Arc<Dispatch> = m.expect_value();

@@ -1,6 +1,6 @@
 //! End-to-end scheduler tests: the full submit/dispatch/ack protocol
 //! through the simnet engine, including preemption accounting, delay
-//! scheduling and cross-execution-mode determinism.
+//! scheduling and run-to-run determinism.
 
 use std::sync::Arc;
 
@@ -8,7 +8,7 @@ use hpcbd_sched::{
     factory, quantile_ns, run, run_trace, JobSpec, QueueSpec, RateProcess, ScenarioOutcome,
     ScenarioSpec, Segment, SourceSpec, TaskSpec, Wave,
 };
-use hpcbd_simnet::{set_default_execution, Execution, NodeId, SimDuration, Work};
+use hpcbd_simnet::{NodeId, SimDuration, Work};
 
 /// A task that charges `ms` of compute per segment, `segments` times.
 fn compute_task(ms: u64, segments: usize, preferred: Option<NodeId>) -> TaskSpec {
@@ -333,29 +333,19 @@ fn digest(out: &ScenarioOutcome) -> String {
     s
 }
 
-/// The tentpole determinism claim: sequential, parallel and speculative
-/// execution produce bit-identical schedules, latencies and counters.
+/// The determinism claim: rerunning a scenario reproduces its
+/// schedules, latencies and counters bit for bit.
 #[test]
-fn mixed_scenario_is_identical_across_execution_modes() {
+fn mixed_scenario_is_identical_across_runs() {
     let spec = mixed_scenario(true);
-    set_default_execution(Execution::Sequential);
     let base = digest(&run(&spec));
     assert!(base.contains("done="), "sanity: {base}");
-    for exec in [
-        Execution::Parallel { threads: 4 },
-        Execution::Speculative { threads: 4 },
-    ] {
-        set_default_execution(exec);
-        let got = digest(&run(&spec));
-        assert_eq!(base, got, "divergence under {exec:?}");
-    }
-    set_default_execution(Execution::Sequential);
+    assert_eq!(base, digest(&run(&spec)), "rerun diverged");
 }
 
 #[test]
 fn mixed_scenario_latency_quantiles_are_ordered() {
     let spec = mixed_scenario(true);
-    set_default_execution(Execution::Sequential);
     let out = run(&spec);
     let q = &out.stats.queues[0];
     assert!(q.completed > 5, "diurnal source offered too little");

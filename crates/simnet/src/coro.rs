@@ -30,14 +30,14 @@
 //! # Safety protocol
 //!
 //! A [`Coroutine`] is `Sync` but its `resume` is only sound under the
-//! engine's ownership protocol: **at most one worker resumes a given
+//! engine's ownership protocol: **at most one caller resumes a given
 //! coroutine at any moment**. The engine guarantees this by routing
 //! every wake through the per-process slot (`parked` flag) and the
-//! resume queue — a pid enters the queue exactly once per suspension,
-//! and only the worker that popped it touches the coroutine. Worker
-//! migration (pid parked on worker A, resumed on worker B) is ordered
-//! by the resume-queue mutex, which makes A's writes to the saved
-//! context happen-before B's resume.
+//! resume queue — a pid enters the queue exactly once per suspension —
+//! and by draining that queue from the one thread running `Sim::run`.
+//! Resuming on a different OS thread than the one that last resumed is
+//! still sound when a lock orders the two resumes (the saved context's
+//! writes then happen-before the next resume); a unit test exercises it.
 //!
 //! Stack safety: coroutine stacks have no guard pages (48k stacks would
 //! need ~96k VMAs, past the default `vm.max_map_count`). Instead the
@@ -615,8 +615,8 @@ pub(crate) struct Coroutine {
 
 // Safety: resume/suspend mutate only through the switch cell, and the
 // engine protocol guarantees a unique resumer per coroutine at any
-// moment, with cross-worker migration ordered by the resume-queue
-// mutex (see module docs).
+// moment, with any resume on another OS thread ordered after the
+// previous one by a lock or a join (see module docs).
 unsafe impl Send for Coroutine {}
 unsafe impl Sync for Coroutine {}
 

@@ -6,12 +6,6 @@
 //! (a Comet node) would perform, at the modeled efficiency of the paradigm's
 //! language runtime (native C/C++ vs JVM).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
-
 use crate::time::SimDuration;
 use crate::topology::NodeSpec;
 
@@ -100,7 +94,7 @@ pub enum RuntimeClass {
 }
 
 impl RuntimeClass {
-    /// Execution-time multiplier relative to native code.
+    /// Run-time multiplier relative to native code.
     ///
     /// 2.8x for the JVM reflects measured gaps on text-parsing and
     /// pointer-chasing record workloads (not tight numeric loops, where the
@@ -137,47 +131,14 @@ pub enum AllreduceAlgo {
     Ring,
 }
 
-/// Memoized algorithm-selection table keyed by `(comm size, bytes)`.
-///
-/// Workloads like PageRank evaluate the same selection for the same
-/// communicator and vector size every iteration; the table makes repeat
-/// lookups a single hash probe. Selection itself is a pure function of
-/// the key, so memoization cannot change any virtual-time result —
-/// [`collective_memo_stats`] exposes hit/miss counters so benchmarks can
-/// verify the cache actually absorbs the traffic.
-static ALLREDUCE_MEMO: OnceLock<Mutex<HashMap<(u32, u64), AllreduceAlgo>>> = OnceLock::new();
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn allreduce_algo_uncached(comm_size: u32, bytes: u64) -> AllreduceAlgo {
+/// Tuned allreduce algorithm for a `comm_size`-rank communicator moving
+/// `bytes` per rank.
+pub fn allreduce_algo(comm_size: u32, bytes: u64) -> AllreduceAlgo {
     if bytes <= ALLREDUCE_RING_THRESHOLD || !comm_size.is_power_of_two() {
         AllreduceAlgo::RecursiveDoubling
     } else {
         AllreduceAlgo::Ring
     }
-}
-
-/// Tuned allreduce algorithm for a `comm_size`-rank communicator moving
-/// `bytes` per rank, memoized on `(comm size, bytes)`.
-pub fn allreduce_algo(comm_size: u32, bytes: u64) -> AllreduceAlgo {
-    let memo = ALLREDUCE_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&algo) = memo.lock().get(&(comm_size, bytes)) {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return algo;
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let algo = allreduce_algo_uncached(comm_size, bytes);
-    memo.lock().insert((comm_size, bytes), algo);
-    algo
-}
-
-/// `(hits, misses)` of the collective-selection memo since process
-/// start. Diagnostic only.
-pub fn collective_memo_stats() -> (u64, u64) {
-    (
-        MEMO_HITS.load(Ordering::Relaxed),
-        MEMO_MISSES.load(Ordering::Relaxed),
-    )
 }
 
 #[cfg(test)]
@@ -218,31 +179,6 @@ mod tests {
         );
         // Non-power-of-two sizes always fold through recursive doubling.
         assert_eq!(allreduce_algo(6, 1 << 22), AllreduceAlgo::RecursiveDoubling);
-    }
-
-    #[test]
-    fn allreduce_memo_caches_repeat_lookups() {
-        // An unusual key no other test uses, so the first lookup misses.
-        let key = (16u32, 777_777u64);
-        let (_, m0) = collective_memo_stats();
-        let first = allreduce_algo(key.0, key.1);
-        let (h1, m1) = collective_memo_stats();
-        assert_eq!(m1, m0 + 1, "first lookup must miss");
-        for _ in 0..10 {
-            assert_eq!(allreduce_algo(key.0, key.1), first);
-        }
-        let (h2, m2) = collective_memo_stats();
-        assert_eq!(m2, m1, "repeat lookups must not miss");
-        assert!(h2 >= h1 + 10, "repeat lookups must hit");
-        // Memoized and uncached selection agree for a spread of keys.
-        for comm in [2u32, 3, 4, 8, 12, 16, 64] {
-            for bytes in [1u64, 1 << 10, 1 << 16, (1 << 16) + 1, 1 << 24] {
-                assert_eq!(
-                    allreduce_algo(comm, bytes),
-                    allreduce_algo_uncached(comm, bytes)
-                );
-            }
-        }
     }
 
     #[test]

@@ -10,89 +10,53 @@
 //! with the minimum virtual clock among all runnable processes, and
 //! those commit windows are totally ordered.** The commit token is
 //! passed through explicit per-process wakers: a wake stores the grant
-//! in the process's slot and enqueues its coroutine on the worker
-//! resume queue; parking is an in-process context switch, not a condvar
+//! in the process's slot and enqueues its coroutine on the resume
+//! queue; parking is an in-process context switch, not a condvar
 //! wait. The ready queue is a calendar bucket queue
 //! ([`crate::queue::CalendarQueue`]) ordered by
-//! `(virtual time, pid, generation)`, a key chosen to be independent of
-//! the wall-clock order in which entries are pushed — which is what lets
-//! the same queue drive both execution modes below bit-identically.
+//! `(virtual time, pid, generation)`.
 //!
-//! Between simulation-visible operations a process runs arbitrary real
-//! computation and advances its own clock locally ([`ProcCtx::compute`])
-//! at zero synchronization cost; the conservative yield happens lazily
-//! at the next visible operation.
-//!
-//! # Execution modes
-//!
-//! * [`Execution::Sequential`] (default): at most one process executes
-//!   at a time. A process keeps the token from its commit window through
-//!   the following compute segment, exactly like a classic baton-passing
-//!   conservative simulator.
-//! * [`Execution::Parallel`]: after a process finishes the *commit* part
-//!   of a visible operation (its mutation of shared simulation state),
-//!   the token is released immediately and the process runs its next
-//!   compute segment concurrently with other released processes — real
-//!   Rust work overlaps on real cores. Ordering is preserved by a
-//!   conservative lookahead rule: a released process `q` whose last
-//!   commit ended at virtual time `lb_q` can only re-enter the ready
-//!   queue at `(t, q)` with `t >= lb_q`, so the scheduler may grant a
-//!   queued entry `e` whenever `(e.time, e.pid) < (lb_q, q)` for every
-//!   in-flight `q`. Under that rule every grant decision is identical to
-//!   the sequential schedule, making virtual times, results, and stats
-//!   **bit-identical** across modes (see DESIGN.md §"Parallel engine").
-//! * [`Execution::Speculative`]: parallel, plus anti-message-free
-//!   optimistic execution past the conservative frontier — sends are
-//!   buffered and committed by the dispatcher at their order key while
-//!   the sender keeps computing, and device reservations are predicted
-//!   against a snapshot, validated at the order key, and rolled back +
-//!   replayed when stale. Every shared mutation still lands in exact
-//!   `(virtual time, pid, generation)` order, so results stay
-//!   bit-identical with the other modes (see [`crate::speculate`] and
-//!   DESIGN.md §14).
+//! The engine is single-threaded: [`Sim::run`] drains the resume queue
+//! on the calling thread and at most one process runs at a time. A
+//! process keeps the token from its commit window through the following
+//! compute segment, exactly like a classic baton-passing conservative
+//! simulator. Between simulation-visible operations a process runs
+//! arbitrary real computation and advances its own clock locally
+//! ([`ProcCtx::compute`]); the conservative yield happens lazily at the
+//! next visible operation.
 //!
 //! # Host-performance structure (DESIGN.md §9)
 //!
-//! The hot path is sharded so unrelated processes never contend on one
-//! lock:
-//!
-//! * `sched` — the scheduler state proper (ready queue, token, in-flight
-//!   frontier, per-process scheduling cells). The only lock on the
-//!   align/dispatch path, with an O(1)-amortized calendar queue behind
-//!   it and a *self-grant fast path* that skips the queue and the
-//!   condition-variable round-trip entirely when the aligning process is
-//!   already globally minimal.
+//! * `sched` — the scheduler state proper (ready queue, token,
+//!   per-process scheduling cells), with an O(1)-amortized calendar
+//!   queue and a *self-grant fast path* that skips the queue and the
+//!   coroutine switch entirely when the aligning process is already
+//!   globally minimal.
 //! * per-process mail shards — mailbox, final stats and finish time.
-//!   Mailbox scans (`recv` matching, `try_recv` polling) touch only the
-//!   owning process's shard.
 //! * per-node resource cells — NIC and scratch-disk next-free times; a
-//!   separate cell for the shared NFS server. Device reservations touch
-//!   only the initiating node's cell.
+//!   separate cell for the shared NFS server.
 //!
-//! Every mutation of sharded state still happens inside a commit window
-//! (token held), so the total order of visible operations — and with it
-//! bit-determinism — is untouched; the sharding only shortens and
-//! de-contends the critical sections. Trace events are buffered in a
-//! per-process `Vec` and merged at export ([`crate::trace::Trace`]), so
-//! tracing costs one `Vec::push` per event on the hot path.
+//! Every mutation of this state happens inside a commit window (token
+//! held), so the locks around it never contend; they exist because the
+//! thread-backed coroutine backend ([`crate::coro`]) resumes processes
+//! on other OS threads, which makes the engine `Sync`. Trace events are
+//! buffered in a per-process `Vec` and merged at export
+//! ([`crate::trace::Trace`]), so tracing costs one `Vec::push` per
+//! event on the hot path.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::cost::Work;
 use crate::error::{DeadlockNote, RecvTimeout};
 use crate::fs::SimFs;
 use crate::message::{MatchSpec, Message, Payload, Tag};
-use crate::parallel::{default_execution, Execution};
 use crate::queue::{CalendarQueue, OrderKey};
-use crate::speculate::{
-    SpecBug, SpecCell, SpecCheckpoint, SpecIo, SpecSend, SPEC_COOLDOWN_OPS, SPEC_THROTTLE_AFTER,
-    SPEC_WINDOW,
-};
 use crate::stats::ProcStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
@@ -126,7 +90,7 @@ pub struct World {
     pub fs: SimFs,
     /// NFS share characteristics (one server for the whole cluster).
     pub nfs: crate::topology::DiskSpec,
-    /// Execution trace sink (empty unless `Sim::enable_tracing` ran).
+    /// Trace sink (empty unless `Sim::enable_tracing` ran).
     pub(crate) trace: std::sync::OnceLock<Arc<crate::trace::Trace>>,
     /// Installed fault plan (empty unless `Sim::set_fault_plan` ran).
     pub(crate) faults: std::sync::OnceLock<Arc<crate::faults::FaultPlan>>,
@@ -156,12 +120,6 @@ enum WakeReason {
     Message,
     Timeout,
     Deadlock,
-    /// A parked speculation validated clean at its order key: resume
-    /// straight into the continuation, no token attached.
-    SpecCommit,
-    /// A parked speculation validated stale: the token is attached;
-    /// roll back to the checkpoint and replay against live state.
-    SpecReplay,
 }
 
 #[derive(Debug)]
@@ -172,9 +130,6 @@ enum Status {
         spec: MatchSpec,
         deadline: Option<SimTime>,
     },
-    /// Parked on an optimistic device reservation awaiting validation
-    /// at its order key (see [`crate::speculate`]).
-    Speculating(SpecIo),
     Done,
 }
 
@@ -226,11 +181,6 @@ struct SchedProc {
     gen: u64,
     status: Status,
     wake_reason: WakeReason,
-    /// Buffered speculative sends, FIFO in issue (= order-key) order.
-    /// Each has a matching ready-queue entry carrying its key; the
-    /// dispatcher pops from the front when that entry reaches the
-    /// global minimum. Bounded by [`SPEC_WINDOW`].
-    spec: std::collections::VecDeque<SpecSend>,
 }
 
 /// Scheduler state: the single lock on the align/dispatch hot path.
@@ -242,10 +192,6 @@ struct Sched {
     /// Current commit-token holder: the one process allowed to mutate
     /// shared simulation state. `None` while the token is being passed.
     turn: Option<Pid>,
-    /// Released processes still running a compute segment, with the
-    /// lower bound on the virtual time of their next ready-queue entry
-    /// (their clock at release; clocks only move forward).
-    inflight: Vec<(Pid, SimTime)>,
     /// (pid, message, was_deadlock) for every unwound process.
     panics: Vec<PanicRecord>,
 }
@@ -277,7 +223,7 @@ struct ProcShard {
 }
 
 struct Mail {
-    mailbox: std::collections::VecDeque<Message>,
+    mailbox: VecDeque<Message>,
     finish: Option<SimTime>,
     stats: ProcStats,
 }
@@ -295,37 +241,14 @@ struct Engine {
     shards: Vec<ProcShard>,
     nodes: Vec<Mutex<NodeRes>>,
     nfs_free: Mutex<SimTime>,
-    /// Installed schedule perturbation (conformance harness only; see
-    /// [`crate::perturb`]). Resolved once at `Sim::run`; `None` on
-    /// normal runs, so the hot path pays one pointer test.
-    perturb: Option<Arc<crate::perturb::Perturbation>>,
     /// Messages sent to processes that had already finished.
     /// Token-serialized; atomic only for `Sync`.
     dropped_msgs: AtomicU64,
     /// Sequence numbers handed to inter-node messages for the fault
     /// plan's drop hash. Incremented inside send commit windows, which
-    /// are totally ordered identically in both execution modes — the
-    /// basis of faulty-run bit-determinism. Only advanced when the plan
-    /// actually enables drops.
+    /// are totally ordered — the basis of faulty-run bit-determinism.
+    /// Only advanced when the plan actually enables drops.
     fault_seq: AtomicU64,
-    /// Fault plan resolved at run start, for the dispatcher-side commit
-    /// of buffered speculative sends (same handle the per-process
-    /// contexts carry).
-    faults: Option<Arc<crate::faults::FaultPlan>>,
-    /// Whether tracing is active this run (dispatcher-side commits must
-    /// record fault events too).
-    tracing: bool,
-    /// Trace events produced by dispatcher-side commits of buffered
-    /// sends. Absorbed into the shared trace after the worker pool
-    /// exits; `Trace::sorted_events` makes the append order irrelevant.
-    commit_trace: Mutex<Vec<TraceEvent>>,
-    /// Speculation outcome counters (see [`crate::speculate`]). Wall-
-    /// clock-schedule-dependent: reported, never digested.
-    spec_commits: AtomicU64,
-    spec_rollbacks: AtomicU64,
-    /// Planted speculation bug (harness self-tests), resolved at run
-    /// start; `None` on normal runs.
-    spec_bug: Option<SpecBug>,
     /// Telemetry sampling interval resolved at run start (`None` off).
     /// Per-process contexts copy it into a `bool`; the report carries it
     /// so the observability layer knows the tick (see
@@ -333,22 +256,12 @@ struct Engine {
     telemetry_interval: Option<u64>,
     /// Metric points absorbed from per-process buffers at finish.
     /// Export order is recovered by [`crate::telemetry::sort_points`],
-    /// so the wall-clock absorb order is irrelevant.
+    /// so the absorb order is irrelevant.
     metric_sink: Mutex<Vec<crate::telemetry::MetricPoint>>,
-    /// Coroutines ready to be resumed by a worker. Lock order: `sched`
-    /// and a slot lock may be held when taking this lock, never the
-    /// reverse.
-    resume: Mutex<ResumeQ>,
-    resume_cv: Condvar,
-}
-
-/// The worker pool's resume queue: pids whose coroutines have a pending
-/// wake value and await a worker.
-struct ResumeQ {
-    q: std::collections::VecDeque<Pid>,
-    /// Set once the last process finished (or a worker spawn failed);
-    /// workers exit when the queue is drained.
-    shutdown: bool,
+    /// Processes whose coroutines have a pending wake value and await
+    /// [`resume_loop`]. Lock order: `sched` and a slot lock may be held
+    /// when taking this lock, never the reverse.
+    resume: Mutex<VecDeque<Pid>>,
 }
 
 impl Engine {
@@ -356,7 +269,7 @@ impl Engine {
     /// if it is parked. If the coroutine is currently running (e.g. it
     /// granted itself between pushing its ready-queue entry and
     /// parking), the value alone suffices: its park loop consumes it
-    /// without suspending, or its worker re-enqueues it at switch-out.
+    /// without suspending.
     fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason) {
         crate::selfprof::host_count(crate::selfprof::HostOp::Wake);
         let mut s = self.shards[pid.index()].slot.m.lock();
@@ -365,81 +278,25 @@ impl Engine {
         if s.parked {
             s.parked = false;
             drop(s);
-            self.enqueue_resume(pid);
+            self.resume.lock().push_back(pid);
         }
     }
 
-    fn enqueue_resume(&self, pid: Pid) {
-        let mut q = self.resume.lock();
-        q.q.push_back(pid);
-        self.resume_cv.notify_one();
-    }
-    /// Grant the commit token to the next runnable process if the
-    /// conservative frontier allows it; otherwise detect completion or
-    /// deadlock. Caller holds the sched lock. Idempotent: safe to call
-    /// after any state change that might enable a grant.
+    /// Grant the commit token to the next runnable process; otherwise
+    /// detect completion or deadlock. Caller holds the sched lock.
+    /// Idempotent: safe to call after any state change that might
+    /// enable a grant.
     fn try_dispatch(&self, g: &mut Sched) {
         if g.turn.is_some() || g.deadlocked {
             return;
         }
-        loop {
-            let cand = match g.runnable.peek_min() {
-                None => break,
-                Some(e) => e,
-            };
-            // A buffered speculative send carries its own key; its gen is
-            // *behind* the process's current gen counter (later pushes
-            // bumped it), so the spec-queue head must be recognized
-            // before the staleness test can discard it.
-            let is_spec_send = g.procs[cand.pid.index()]
-                .spec
-                .front()
-                .is_some_and(|s| s.key.gen == cand.gen);
-            if !is_spec_send && g.procs[cand.pid.index()].gen != cand.gen {
-                crate::selfprof::host_count(crate::selfprof::HostOp::QueuePop);
-                g.runnable.pop_min(); // stale entry
-                continue;
-            }
-            // Perturbation (conformance harness): defer this grant while
-            // other processes are still in flight. The candidate remains
-            // the minimum, so only the grant's wall-clock moment moves —
-            // every in-flight process re-triggers dispatch when it aligns
-            // or finishes, and holds stop once the in-flight set drains,
-            // so progress (and the deadlock detector) is unaffected.
-            if let Some(p) = &self.perturb {
-                if !g.inflight.is_empty() && p.hold_grant(cand.time.nanos(), cand.pid.0, cand.gen) {
-                    return;
-                }
-            }
-            // Conservative lookahead frontier: an in-flight process q
-            // re-enters the queue at some (t, q) with t >= lb_q. Grant
-            // `cand` only if no such future entry could order before it;
-            // otherwise wait for the in-flight set to drain. The
-            // candidate's own in-flight entry is excluded: a process's
-            // future re-entry always orders after its already-queued
-            // entries (clocks are monotone), and a speculating sender is
-            // in flight *while* its buffered keys sit in the queue.
-            if g.inflight
-                .iter()
-                .any(|&(q, lb)| q != cand.pid && (cand.time, cand.pid) >= (lb, q))
-            {
-                return;
-            }
+        while let Some(cand) = g.runnable.peek_min() {
             crate::selfprof::host_count(crate::selfprof::HostOp::QueuePop);
             g.runnable.pop_min();
-            if is_spec_send {
-                // Commit the buffered send at its key point and keep
-                // walking: no token changes hands, so an entire run of
-                // ready speculative effects streams out of one dispatch.
-                let s = g.procs[cand.pid.index()]
-                    .spec
-                    .pop_front()
-                    .expect("spec head checked above");
-                self.commit_send(g, s);
-                self.spec_commits.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
             let p = &mut g.procs[cand.pid.index()];
+            if p.gen != cand.gen {
+                continue; // stale entry
+            }
             match &p.status {
                 Status::Ready => {
                     p.status = Status::Running;
@@ -454,35 +311,6 @@ impl Engine {
                     p.wake_reason = WakeReason::Timeout;
                     p.clock = p.clock.max(cand.time);
                 }
-                Status::Speculating(io) => {
-                    // Validate the parked speculation at its order key.
-                    let io = *io;
-                    if self.validate_and_apply(&io, cand.pid, cand.gen) {
-                        // Clean: the prediction is now the committed
-                        // truth. Resume the process into its continuation
-                        // as in-flight compute — no token attached — and
-                        // keep walking.
-                        p.status = Status::Running;
-                        p.wake_reason = WakeReason::SpecCommit;
-                        p.clock = io.resume_clock;
-                        g.inflight.push((cand.pid, io.resume_clock));
-                        self.spec_commits.fetch_add(1, Ordering::Relaxed);
-                        self.wake(cand.pid, io.resume_clock, WakeReason::SpecCommit);
-                        continue;
-                    }
-                    // Stale: grant the token so the process can roll back
-                    // and replay against live state. As token holder it
-                    // is the frontier, so the replay cannot lose again.
-                    p.status = Status::Running;
-                    p.wake_reason = WakeReason::SpecReplay;
-                    let clock = p.clock;
-                    crate::selfprof::host_count(crate::selfprof::HostOp::TokenGrant);
-                    crate::selfprof::host_count(crate::selfprof::HostOp::SpecReplay);
-                    g.turn = Some(cand.pid);
-                    self.spec_rollbacks.fetch_add(1, Ordering::Relaxed);
-                    self.wake(cand.pid, clock, WakeReason::SpecReplay);
-                    return;
-                }
                 _ => continue, // defensive: not grantable
             }
             crate::selfprof::host_count(crate::selfprof::HostOp::TokenGrant);
@@ -492,10 +320,9 @@ impl Engine {
             self.wake(cand.pid, clock, reason);
             return;
         }
-        // Nothing grantable. With compute still in flight this is a
-        // transient state; with nothing in flight and live processes it
-        // is a distributed deadlock.
-        if g.inflight.is_empty() && g.live > 0 && !g.deadlocked {
+        // Nothing grantable while processes are still live: a
+        // distributed deadlock.
+        if g.live > 0 {
             g.deadlocked = true;
             let mut diag = String::new();
             for (i, p) in g.procs.iter().enumerate() {
@@ -511,10 +338,7 @@ impl Engine {
             }
             let mut doomed = Vec::new();
             for (i, p) in g.procs.iter_mut().enumerate() {
-                // A Speculating process cannot exist here (its queue
-                // entry is always processable once the in-flight set is
-                // empty), but wake it defensively rather than hang.
-                if matches!(p.status, Status::Blocked { .. } | Status::Speculating(_)) {
+                if matches!(p.status, Status::Blocked { .. }) {
                     p.status = Status::Running;
                     p.wake_reason = WakeReason::Deadlock;
                     doomed.push((Pid(i as u32), p.clock));
@@ -553,187 +377,21 @@ impl Engine {
             }
         }
     }
-
-    /// Execute a buffered speculative send's shared effects at its order
-    /// key: NIC reservation, fault decisions (including the drop-hash
-    /// sequence number), delivery. Caller holds the sched lock and the
-    /// key is the global minimum, so every decision lands at exactly the
-    /// point of the global order where the sequential engine would have
-    /// made it. Stats deltas go to the sender's mail shard (merged with
-    /// its context stats at finish); trace events to `commit_trace`.
-    fn commit_send(&self, g: &mut Sched, s: SpecSend) {
-        crate::selfprof::host_count(crate::selfprof::HostOp::SendCommit);
-        let src = s.key.pid;
-        let src_node = self.shards[src.index()].node;
-        let mut arrival = if s.same_node {
-            s.sent_at + s.latency + s.wire
-        } else {
-            let mut nr = self.nodes[src_node.index()].lock();
-            let start = s.sent_at.max(nr.nic_free);
-            nr.nic_free = start + s.wire;
-            start + s.wire + s.latency
-        };
-        if !s.same_node {
-            if let Some(plan) = &self.faults {
-                let evs = send_fault_adjust(
-                    plan,
-                    &self.fault_seq,
-                    src_node,
-                    s.dst_node,
-                    s.dst,
-                    s.sent_at,
-                    s.bytes,
-                    s.wire,
-                    s.latency,
-                    &mut arrival,
-                );
-                if !evs.is_empty() {
-                    {
-                        let mut m = self.shards[src.index()].mail.lock();
-                        for &(_, extra) in &evs {
-                            m.stats.fault_events += 1;
-                            m.stats.fault_delay += extra;
-                        }
-                    }
-                    if self.tracing {
-                        let mut tb = self.commit_trace.lock();
-                        for (ev, _) in evs {
-                            tb.push(TraceEvent {
-                                pid: src,
-                                start: s.sent_at,
-                                end: s.sent_at,
-                                kind: crate::trace::EventKind::Fault(ev),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let msg = Message {
-            src,
-            dst: s.dst,
-            tag: s.tag,
-            bytes: s.bytes,
-            payload: s.payload,
-            sent_at: s.sent_at,
-            arrival,
-            recv_cost: s.recv_cost,
-        };
-        self.deliver(g, s.dst, msg);
-    }
-
-    /// Validate a parked speculation at its order key and, if clean,
-    /// publish the predicted reservation. Sound because device next-free
-    /// times are monotone: value equality with the snapshot implies the
-    /// conservative engine would compute the identical reservation here.
-    fn validate_and_apply(&self, io: &SpecIo, pid: Pid, gen: u64) -> bool {
-        crate::selfprof::host_count(crate::selfprof::HostOp::SpecValidate);
-        match self.spec_bug {
-            // Planted unsound commit check (harness self-test): trust
-            // the prediction — neither validate nor publish.
-            Some(SpecBug::TrustStalePrediction) => return true,
-            // Planted pessimal check: everything is "stale".
-            Some(SpecBug::ForceReplay) => return false,
-            None => {}
-        }
-        // Perturbation (conformance harness): treat a clean validation
-        // as stale. Replay recomputes the identical outcome from live
-        // state, so only the schedule moves, never a result.
-        if let Some(p) = &self.perturb {
-            if p.force_replay(pid.0, gen) {
-                return false;
-            }
-        }
-        match io.cell {
-            SpecCell::Nic(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                if nr.nic_free == io.snap {
-                    nr.nic_free = io.predicted_start + io.reserve;
-                    true
-                } else {
-                    false
-                }
-            }
-            SpecCell::Disk(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                if nr.disk_free == io.snap {
-                    nr.disk_free = io.predicted_start + io.reserve;
-                    true
-                } else {
-                    false
-                }
-            }
-            SpecCell::Nfs => {
-                let mut free = self.nfs_free.lock();
-                if *free == io.snap {
-                    *free = io.predicted_start + io.reserve;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Current value of a device next-free cell (speculation read-set).
-    fn read_cell(&self, cell: SpecCell) -> SimTime {
-        match cell {
-            SpecCell::Nic(n) => self.nodes[n.index()].lock().nic_free,
-            SpecCell::Disk(n) => self.nodes[n.index()].lock().disk_free,
-            SpecCell::Nfs => *self.nfs_free.lock(),
-        }
-    }
-
-    /// Reserve `dur` on a device cell starting no earlier than `at`;
-    /// returns the completion time. The conservative reservation shared
-    /// by the classic paths and speculative replays.
-    fn reserve_cell(&self, cell: SpecCell, at: SimTime, dur: SimDuration) -> SimTime {
-        match cell {
-            SpecCell::Nic(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                let start = at.max(nr.nic_free);
-                nr.nic_free = start + dur;
-                start + dur
-            }
-            SpecCell::Disk(n) => {
-                let mut nr = self.nodes[n.index()].lock();
-                let start = at.max(nr.disk_free);
-                nr.disk_free = start + dur;
-                start + dur
-            }
-            SpecCell::Nfs => {
-                let mut free = self.nfs_free.lock();
-                let start = at.max(*free);
-                *free = start + dur;
-                start + dur
-            }
-        }
-    }
-
-    /// Commit every still-buffered speculative send, in key order, at
-    /// shutdown (`live == 0`). Normal process finish drains its own
-    /// buffer by aligning, but a panicking or deadlock-doomed process
-    /// skips alignment; its sends must still commit so `dropped_msgs`
-    /// matches the sequential engine, which executed them inline.
-    fn drain_spec(&self, g: &mut Sched) {
-        let mut pending: Vec<SpecSend> = Vec::new();
-        for p in g.procs.iter_mut() {
-            pending.extend(p.spec.drain(..));
-        }
-        pending.sort_by_key(|s| s.key);
-        for s in pending {
-            self.commit_send(g, s);
-            self.spec_commits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
-/// The order-dependent part of a send's fault handling, shared by the
-/// classic in-window path and the dispatcher-side commit of buffered
-/// speculative sends: link degradation/partition delay and the
-/// drop-hash decision (which consumes a `fault_seq` number). Adjusts
-/// `arrival` in place and returns the fault events to attribute to the
-/// sender, each with its delay for the stats counters.
+/// Reserve a device whose next-free time is `*free` for `dur`, starting
+/// no earlier than `at`; returns the completion time.
+fn reserve(free: &mut SimTime, at: SimTime, dur: SimDuration) -> SimTime {
+    let done = at.max(*free) + dur;
+    *free = done;
+    done
+}
+
+/// The order-dependent part of a send's fault handling:
+/// link degradation/partition delay and the drop-hash decision (which
+/// consumes a `fault_seq` number). Adjusts `arrival` in place and
+/// returns the fault events to attribute to the sender, each with its
+/// delay for the stats counters.
 #[allow(clippy::too_many_arguments)]
 fn send_fault_adjust(
     plan: &crate::faults::FaultPlan,
@@ -825,23 +483,6 @@ pub struct ProcCtx {
     /// engine's sink at process finish. Always empty when telemetry is
     /// off (the metric API is a no-op then).
     metric_buf: Vec<crate::telemetry::MetricPoint>,
-    /// In-flight cap above which `release_turn` keeps the token; `0`
-    /// encodes sequential mode, making release a no-op without a lock.
-    release_cap: usize,
-    /// Schedule perturbation (conformance harness; `None` on normal
-    /// runs) plus a per-process visible-op counter salting its
-    /// decisions. The counter is deterministic per process, so a seed
-    /// replays the same decision sequence.
-    perturb: Option<Arc<crate::perturb::Perturbation>>,
-    perturb_ops: u64,
-    /// Whether this run executes speculatively (see [`crate::speculate`]).
-    speculative: bool,
-    /// Consecutive lost speculations; at [`SPEC_THROTTLE_AFTER`] the
-    /// process enters cooldown.
-    spec_fails: u32,
-    /// Remaining operations to run conservatively before speculating
-    /// again (rollback throttle).
-    spec_cooldown: u32,
 }
 
 impl ProcCtx {
@@ -1085,8 +726,7 @@ impl ProcCtx {
 
     /// Advance this process's clock by modeled computation: `work` executed
     /// at `runtime_factor` times native single-core cost (see
-    /// [`crate::RuntimeClass`]). Purely local — no synchronization; in
-    /// parallel mode this is the code that overlaps across cores.
+    /// [`crate::RuntimeClass`]). Purely local — no synchronization.
     pub fn compute(&mut self, work: Work, runtime_factor: f64) {
         let mut d = {
             let spec = &self.world.topology.node(self.node).spec;
@@ -1114,76 +754,7 @@ impl ProcCtx {
     /// Advance the clock and yield, letting earlier processes run.
     pub fn sleep(&mut self, d: SimDuration) {
         self.clock += d;
-        // A sleep mutates nothing shared; speculatively it needs no
-        // alignment at all — just raise our in-flight lower bound so
-        // the frontier reflects the advanced clock.
-        if self.speculative && self.spec_sleep() {
-            return;
-        }
         self.become_min();
-        self.release_turn();
-    }
-
-    /// Whether the next operation may speculate: speculative mode, not
-    /// in rollback cooldown, not perturbed onto the conservative path.
-    fn spec_allowed(&mut self) -> bool {
-        if !self.speculative {
-            return false;
-        }
-        if self.spec_cooldown > 0 {
-            self.spec_cooldown -= 1;
-            return false;
-        }
-        if let Some(p) = &self.perturb {
-            self.perturb_ops += 1;
-            if p.defeat_speculation(self.pid.0, self.perturb_ops) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Record a lost speculation; [`SPEC_THROTTLE_AFTER`] consecutive
-    /// losses trigger a [`SPEC_COOLDOWN_OPS`]-operation conservative
-    /// cooldown. Purely a waste cap: a replay runs under the token and
-    /// always succeeds, so progress never depends on this.
-    fn note_replay(&mut self) {
-        self.spec_fails += 1;
-        if self.spec_fails >= SPEC_THROTTLE_AFTER {
-            self.spec_cooldown = SPEC_COOLDOWN_OPS;
-            self.spec_fails = 0;
-        }
-    }
-
-    /// Restore the per-process state a lost speculation dirtied.
-    fn rollback(&mut self, ckpt: SpecCheckpoint) {
-        self.clock = ckpt.clock;
-        self.stats = ckpt.stats;
-        self.trace_buf.truncate(ckpt.trace_len);
-    }
-
-    /// Speculative sleep: raise this process's in-flight lower bound to
-    /// the advanced clock (enabling grants the stale bound blocked) and
-    /// keep running. Returns `false` when this process holds a kept
-    /// token — then the classic align path must pass it on.
-    fn spec_sleep(&mut self) -> bool {
-        let me = self.pid;
-        let mut g = self.engine.sched.lock();
-        if g.deadlocked {
-            drop(g);
-            panic::panic_any(DeadlockNote(format!(
-                "{me} sleeping during deadlock teardown"
-            )));
-        }
-        if g.turn == Some(me) {
-            return false;
-        }
-        match g.inflight.iter_mut().find(|e| e.0 == me) {
-            Some(e) => e.1 = self.clock,
-            None => g.inflight.push((me, self.clock)),
-        }
-        self.engine.try_dispatch(&mut g);
-        true
     }
 
     /// Align: enter the ready queue at the current clock and wait for the
@@ -1192,45 +763,27 @@ impl ProcCtx {
     /// deadlock (the caller must not touch shared state).
     fn align_quiet(&mut self) -> bool {
         let me = self.pid;
-        // Perturbation (conformance harness): jitter the wall-clock
-        // approach to the scheduler lock and sometimes force the slow
-        // (queue + condvar) path even when the fast path would apply.
-        // Both choices are inside the frontier rule's admitted set, so
-        // virtual-time results cannot change.
-        let mut force_slow_path = false;
-        if let Some(p) = &self.perturb {
-            self.perturb_ops += 1;
-            p.jitter(me.0, self.perturb_ops);
-            force_slow_path = p.defeat_fast_path(me.0, self.perturb_ops);
-        }
         {
             let mut g = self.engine.sched.lock();
             if g.deadlocked {
                 return false;
             }
             if g.turn == Some(me) {
-                // Sequential mode (or a kept token): pass it through the
-                // queue so the globally minimal process gets it next.
+                // Pass the token through the queue so the globally
+                // minimal process gets it next.
                 g.turn = None;
             }
-            g.inflight.retain(|&(q, _)| q != me);
             // Self-grant fast path: if this process would be the next
-            // grant anyway — the token is free, every queued entry orders
-            // after `(clock, me)`, and no in-flight frontier blocks us —
-            // take the token directly, skipping the queue round-trip and
-            // the condvar park/wake entirely. The grant decision is the
-            // same one `try_dispatch` would make for our pushed entry, so
-            // the schedule (and every virtual-time result) is unchanged.
-            if g.turn.is_none() && !force_slow_path {
+            // grant anyway — the token is free and every queued entry
+            // orders after `(clock, me)` — take the token directly,
+            // skipping the queue round-trip and the park/wake entirely.
+            // The grant decision is the same one `try_dispatch` would
+            // make for our pushed entry, so the schedule (and every
+            // virtual-time result) is unchanged.
+            if g.turn.is_none() {
                 // Clean stale heads so the comparison sees a live entry.
-                // Buffered speculative sends carry a behind-the-counter
-                // gen on purpose; they are live, never stale (and any of
-                // ours at the head correctly defeats the fast path: they
-                // must commit before we may take the token).
                 while let Some(k) = g.runnable.peek_min() {
-                    let sp = &g.procs[k.pid.index()];
-                    let is_spec = sp.spec.front().is_some_and(|s| s.key.gen == k.gen);
-                    if !is_spec && sp.gen != k.gen {
+                    if g.procs[k.pid.index()].gen != k.gen {
                         g.runnable.pop_min();
                     } else {
                         break;
@@ -1240,12 +793,7 @@ impl ProcCtx {
                     .runnable
                     .peek_min()
                     .is_none_or(|k| (k.time, k.pid) > (self.clock, me));
-                if head_after_me
-                    && !g
-                        .inflight
-                        .iter()
-                        .any(|&(q, lb)| (self.clock, me) >= (lb, q))
-                {
+                if head_after_me {
                     let p = &mut g.procs[me.index()];
                     p.clock = self.clock;
                     p.status = Status::Running;
@@ -1281,48 +829,14 @@ impl ProcCtx {
         }
     }
 
-    /// Release the commit token after a visible operation's shared-state
-    /// mutation, entering the in-flight set so the next compute segment
-    /// can overlap with other processes. No-op in sequential mode (the
-    /// token is kept until the next [`ProcCtx::become_min`]) — and the
-    /// no-op is lock-free: `release_cap == 0` encodes sequential.
-    fn release_turn(&mut self) {
-        if self.release_cap == 0 {
-            return; // sequential: keep the token; the next align passes it
-        }
-        // Perturbation (conformance harness): sometimes keep the token
-        // through the next compute segment — exactly the legal behaviour
-        // the engine already exhibits when the in-flight cap is reached.
-        if let Some(p) = &self.perturb {
-            self.perturb_ops += 1;
-            if p.keep_token(self.pid.0, self.perturb_ops) {
-                return;
-            }
-        }
-        let mut g = self.engine.sched.lock();
-        if g.deadlocked {
-            return;
-        }
-        debug_assert_eq!(g.turn, Some(self.pid), "token released by non-holder");
-        if g.inflight.len() >= self.release_cap {
-            return; // keep the token; the next align passes it on
-        }
-        crate::selfprof::host_count(crate::selfprof::HostOp::TokenRelease);
-        g.turn = None;
-        g.inflight.push((self.pid, self.clock));
-        self.engine.try_dispatch(&mut g);
-    }
-
     /// Run `f` inside this process's next commit window: at a
     /// deterministic point in the global visible-operation order, with
     /// the commit token held. Frameworks use this to order side effects
     /// on state shared *outside* the engine (symmetric heaps, RMA
-    /// windows) so parallel execution cannot reorder them.
+    /// windows) by virtual time.
     pub fn ordered<R>(&mut self, f: impl FnOnce() -> R) -> R {
         self.become_min();
-        let out = f();
-        self.release_turn();
-        out
+        f()
     }
 
     /// Send a message. The sender is charged the transport's endpoint CPU
@@ -1344,91 +858,9 @@ impl ProcCtx {
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += bytes;
         self.trace_push(t0, self.clock, crate::trace::EventKind::Send { dst, bytes });
-        // Buffer-and-go speculation: everything past this point depends
-        // only on state at the send's order key, never on this
-        // process's continuation — so the scheduler can execute it
-        // there while we keep computing.
-        let payload = if self.spec_allowed() {
-            match self.try_buffer_send(dst, tag, bytes, payload, transport) {
-                Ok(()) => return,
-                Err(payload) => payload, // window full / token kept
-            }
-        } else {
-            payload
-        };
         self.become_min();
-        self.send_commit(dst, tag, bytes, payload, transport);
-    }
-
-    /// Buffer a send for dispatcher-side commit at its order key.
-    /// Returns the payload when buffering is not possible (speculation
-    /// window full, or this process holds a kept token and is already
-    /// in a commit window) — the caller then sends conservatively,
-    /// which drains the buffer first by aligning.
-    fn try_buffer_send(
-        &mut self,
-        dst: Pid,
-        tag: Tag,
-        bytes: u64,
-        payload: Payload,
-        transport: &Transport,
-    ) -> Result<(), Payload> {
-        let me = self.pid;
-        let sent_at = self.clock;
-        let dst_node = self.proc_nodes[dst.index()];
-        let mut g = self.engine.sched.lock();
-        if g.deadlocked {
-            drop(g);
-            panic::panic_any(DeadlockNote(format!(
-                "{me} sending during deadlock teardown"
-            )));
-        }
-        if g.turn == Some(me) || g.procs[me.index()].spec.len() >= SPEC_WINDOW {
-            return Err(payload);
-        }
-        // Our buffered keys protect themselves by sitting in the ready
-        // queue, so the in-flight lower bound only has to cover *future*
-        // entries — raise it to the current clock, which both tightens
-        // the frontier for everyone else and covers this send's key.
-        match g.inflight.iter_mut().find(|e| e.0 == me) {
-            Some(e) => e.1 = sent_at,
-            None => g.inflight.push((me, sent_at)),
-        }
-        let p = &mut g.procs[me.index()];
-        p.gen += 1;
-        let key = OrderKey {
-            time: sent_at,
-            pid: me,
-            gen: p.gen,
-        };
-        p.spec.push_back(SpecSend {
-            key,
-            dst,
-            dst_node,
-            same_node: dst_node == self.node,
-            tag,
-            bytes,
-            payload,
-            sent_at,
-            recv_cost: transport.endpoint_cpu(transport.recv_overhead, bytes),
-            wire: transport.wire_time(bytes),
-            latency: transport.latency,
-        });
-        g.runnable.push(key);
-        self.engine.try_dispatch(&mut g);
-        Ok(())
-    }
-
-    /// The commit-window part of a send (token held): NIC reservation,
-    /// fault decisions, delivery, token release.
-    fn send_commit(
-        &mut self,
-        dst: Pid,
-        tag: Tag,
-        bytes: u64,
-        payload: Payload,
-        transport: &Transport,
-    ) {
+        // Commit window (token held): NIC reservation, fault decisions,
+        // delivery.
         let sent_at = self.clock;
         let dst_node = self.proc_nodes[dst.index()];
         let same_node = dst_node == self.node;
@@ -1437,9 +869,7 @@ impl ProcCtx {
             sent_at + transport.latency + wire
         } else {
             let mut nr = self.engine.nodes[self.node.index()].lock();
-            let start = sent_at.max(nr.nic_free);
-            nr.nic_free = start + wire;
-            start + wire + transport.latency
+            reserve(&mut nr.nic_free, sent_at, wire) + transport.latency
         };
         // Fault injection, inside the commit window so every decision
         // (and the drop-hash sequence number) lands at a deterministic
@@ -1479,7 +909,6 @@ impl ProcCtx {
             let mut g = self.engine.sched.lock();
             self.engine.deliver(&mut g, dst, msg);
         }
-        self.release_turn();
     }
 
     fn take_match(&mut self, spec: MatchSpec) -> Option<Message> {
@@ -1538,13 +967,10 @@ impl ProcCtx {
     ) -> Result<Message, RecvTimeout> {
         let blocked_since = self.clock;
         // Align first so the mailbox is inspected at a deterministic
-        // point of the visible-operation order (identical in both
-        // execution modes).
+        // point of the visible-operation order.
         self.become_min();
         if let Some(m) = self.take_match(spec) {
-            let m = self.finish_recv(m, blocked_since);
-            self.release_turn();
-            return Ok(m);
+            return Ok(self.finish_recv(m, blocked_since));
         }
         // Block, handing the token back.
         let me = self.pid;
@@ -1579,22 +1005,17 @@ impl ProcCtx {
                 let m = self
                     .take_match(spec)
                     .expect("woken for message but no match in mailbox");
-                let m = self.finish_recv(m, blocked_since);
-                self.release_turn();
-                Ok(m)
+                Ok(self.finish_recv(m, blocked_since))
             }
             WakeReason::Timeout => {
                 self.stats.wait_time += self.clock - blocked_since;
-                self.release_turn();
                 Err(RecvTimeout)
             }
             WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
                 "{} blocked on {:?} forever",
                 self.pid, spec
             ))),
-            WakeReason::Turn | WakeReason::SpecCommit | WakeReason::SpecReplay => {
-                unreachable!("blocked process woken with {reason:?}")
-            }
+            WakeReason::Turn => unreachable!("blocked process woken with a turn grant"),
         }
     }
 
@@ -1615,9 +1036,7 @@ impl ProcCtx {
                 .map(|(i, _)| i);
             best.and_then(|i| m.mailbox.remove(i))
         };
-        let out = taken.map(|m| self.finish_recv(m, now));
-        self.release_turn();
-        out
+        taken.map(|m| self.finish_recv(m, now))
     }
 
     /// One-sided RDMA transfer (OpenSHMEM put/get, MPI RMA): the initiator
@@ -1634,130 +1053,14 @@ impl ProcCtx {
         transport: &Transport,
         round_trips: u32,
     ) {
-        // Unit effect: the transfer's only shared state is the NIC
-        // next-free cell, so it is validated-class speculatable. (The
-        // `_with` variant runs a caller effect inside the commit window
-        // and stays conservative.)
-        if self.spec_allowed() {
-            let cpu = transport.endpoint_cpu(transport.send_overhead, bytes);
-            let t_op = self.clock;
-            self.clock += cpu;
-            self.stats.compute_time += cpu;
-            self.stats.msgs_sent += 1;
-            self.stats.bytes_sent += bytes;
-            let wire = transport.wire_time(bytes);
-            let lat =
-                SimDuration::from_nanos(transport.latency.nanos() * round_trips.max(1) as u64);
-            if target_node == self.node {
-                // Loopback touches nothing shared: complete locally,
-                // no alignment at all.
-                self.clock += lat + wire;
-                let end = self.clock;
-                self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-                return;
-            }
-            if self.one_sided_speculative(t_op, bytes, wire, lat) {
-                return;
-            }
-            // Holding a kept token: align (passing it on) and commit
-            // against live state.
-            self.become_min();
-            let wire_done = self
-                .engine
-                .reserve_cell(SpecCell::Nic(self.node), self.clock, wire);
-            self.clock = wire_done + lat;
-            let end = self.clock;
-            self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-            self.release_turn();
-            return;
-        }
         self.one_sided_transfer_with(target_node, bytes, transport, round_trips, || ());
-    }
-
-    /// Validated-class speculation for a cross-node one-sided transfer:
-    /// snapshot the NIC cell, predict the completion, park for
-    /// validation at the order key. Returns `false` when this process
-    /// holds a kept token (caller commits conservatively).
-    fn one_sided_speculative(
-        &mut self,
-        t_op: SimTime,
-        bytes: u64,
-        wire: SimDuration,
-        lat: SimDuration,
-    ) -> bool {
-        let me = self.pid;
-        let t = self.clock;
-        let cell = SpecCell::Nic(self.node);
-        let end;
-        {
-            let mut g = self.engine.sched.lock();
-            if g.deadlocked {
-                drop(g);
-                panic::panic_any(DeadlockNote(format!(
-                    "{me} speculating during deadlock teardown"
-                )));
-            }
-            if g.turn == Some(me) {
-                return false;
-            }
-            let snap = self.engine.read_cell(cell);
-            let predicted_start = t.max(snap);
-            end = predicted_start + wire + lat;
-            let io = SpecIo {
-                cell,
-                snap,
-                predicted_start,
-                reserve: wire,
-                resume_clock: end,
-            };
-            {
-                let p = &mut g.procs[me.index()];
-                p.clock = t;
-                p.status = Status::Speculating(io);
-            }
-            g.inflight.retain(|&(q, _)| q != me);
-            Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g);
-        }
-        // Checkpoint, then apply the prediction optimistically. Local
-        // state only — the shared cell is untouched until validation.
-        let ckpt = SpecCheckpoint {
-            clock: t,
-            stats: self.stats.clone(),
-            trace_len: self.trace_buf.len(),
-        };
-        self.clock = end;
-        self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
-        match reason {
-            WakeReason::SpecCommit => {
-                debug_assert_eq!(clock, end, "commit resume clock mismatch");
-                self.spec_fails = 0;
-                true
-            }
-            WakeReason::SpecReplay => {
-                self.rollback(ckpt);
-                let wire_done = self.engine.reserve_cell(cell, self.clock, wire);
-                self.clock = wire_done + lat;
-                let end = self.clock;
-                self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-                self.note_replay();
-                self.release_turn();
-                true
-            }
-            WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
-                "{me} speculation torn down by deadlock"
-            ))),
-            _ => unreachable!("speculating process woken with {reason:?}"),
-        }
     }
 
     /// [`ProcCtx::one_sided_transfer`] with a data-plane `effect` executed
     /// inside the commit window, after the transfer's completion time is
     /// known. Frameworks pass the actual memory mutation (symmetric-heap
     /// store, window accumulate) here so that remote-memory effects are
-    /// applied in deterministic virtual-time order even when other
-    /// processes compute concurrently.
+    /// applied in deterministic virtual-time order.
     pub fn one_sided_transfer_with<R>(
         &mut self,
         target_node: NodeId,
@@ -1779,21 +1082,16 @@ impl ProcCtx {
             self.clock += lat + wire;
         } else {
             let mut nr = self.engine.nodes[self.node.index()].lock();
-            let start = self.clock.max(nr.nic_free);
-            nr.nic_free = start + wire;
-            self.clock = start + wire + lat;
+            self.clock = reserve(&mut nr.nic_free, self.clock, wire) + lat;
         }
         let out = effect();
         let end = self.clock;
         self.trace_push(t_op, end, crate::trace::EventKind::OneSided { bytes });
-        self.release_turn();
         out
     }
 
     /// Service duration of a device request at the current clock (the
-    /// straggler fault factor is clock-dependent, so both the
-    /// speculative prediction and a rollback replay recompute it at the
-    /// same virtual time and agree by construction).
+    /// straggler fault factor is clock-dependent).
     fn device_io_dur(&self, bytes: u64, is_nfs: bool, is_write: bool) -> SimDuration {
         let spec: crate::topology::DiskSpec = if is_nfs {
             self.world.nfs
@@ -1819,11 +1117,17 @@ impl ProcCtx {
         dur
     }
 
-    /// Apply a blocking device request's local effects: wait + volume
-    /// stats, clock advance to `finish`, trace span.
-    fn apply_device_io(&mut self, bytes: u64, is_nfs: bool, is_write: bool, finish: SimTime) {
-        self.stats.disk_time += finish - self.clock;
+    fn device_io(&mut self, bytes: u64, is_nfs: bool, is_write: bool) {
+        self.become_min();
+        let dur = self.device_io_dur(bytes, is_nfs, is_write);
         let t0 = self.clock;
+        let finish = if is_nfs {
+            reserve(&mut self.engine.nfs_free.lock(), t0, dur)
+        } else {
+            let mut nr = self.engine.nodes[self.node.index()].lock();
+            reserve(&mut nr.disk_free, t0, dur)
+        };
+        self.stats.disk_time += finish - t0;
         self.clock = finish;
         if is_write {
             self.stats.disk_write_bytes += bytes;
@@ -1836,96 +1140,6 @@ impl ProcCtx {
             (false, false) => crate::trace::EventKind::DiskRead { bytes },
         };
         self.trace_push(t0, finish, kind);
-    }
-
-    fn device_io(&mut self, bytes: u64, is_nfs: bool, is_write: bool) {
-        if self.spec_allowed() && self.device_io_speculative(bytes, is_nfs, is_write) {
-            return;
-        }
-        self.become_min();
-        let cell = if is_nfs {
-            SpecCell::Nfs
-        } else {
-            SpecCell::Disk(self.node)
-        };
-        let dur = self.device_io_dur(bytes, is_nfs, is_write);
-        let finish = self.engine.reserve_cell(cell, self.clock, dur);
-        self.apply_device_io(bytes, is_nfs, is_write, finish);
-        self.release_turn();
-    }
-
-    /// Validated-class speculation for a blocking device request:
-    /// checkpoint, snapshot the device cell, apply the predicted
-    /// outcome, park for validation at the order key; roll back and
-    /// replay under the token if the cell moved. Returns `false` when
-    /// this process holds a kept token (caller runs conservatively).
-    fn device_io_speculative(&mut self, bytes: u64, is_nfs: bool, is_write: bool) -> bool {
-        let me = self.pid;
-        let t = self.clock;
-        let cell = if is_nfs {
-            SpecCell::Nfs
-        } else {
-            SpecCell::Disk(self.node)
-        };
-        let finish;
-        {
-            let mut g = self.engine.sched.lock();
-            if g.deadlocked {
-                drop(g);
-                panic::panic_any(DeadlockNote(format!(
-                    "{me} speculating during deadlock teardown"
-                )));
-            }
-            if g.turn == Some(me) {
-                return false;
-            }
-            let dur = self.device_io_dur(bytes, is_nfs, is_write);
-            let snap = self.engine.read_cell(cell);
-            let predicted_start = t.max(snap);
-            finish = predicted_start + dur;
-            let io = SpecIo {
-                cell,
-                snap,
-                predicted_start,
-                reserve: dur,
-                resume_clock: finish,
-            };
-            {
-                let p = &mut g.procs[me.index()];
-                p.clock = t;
-                p.status = Status::Speculating(io);
-            }
-            g.inflight.retain(|&(q, _)| q != me);
-            Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g);
-        }
-        let ckpt = SpecCheckpoint {
-            clock: t,
-            stats: self.stats.clone(),
-            trace_len: self.trace_buf.len(),
-        };
-        self.apply_device_io(bytes, is_nfs, is_write, finish);
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
-        match reason {
-            WakeReason::SpecCommit => {
-                debug_assert_eq!(clock, finish, "commit resume clock mismatch");
-                self.spec_fails = 0;
-                true
-            }
-            WakeReason::SpecReplay => {
-                self.rollback(ckpt);
-                let dur = self.device_io_dur(bytes, is_nfs, is_write);
-                let finish = self.engine.reserve_cell(cell, self.clock, dur);
-                self.apply_device_io(bytes, is_nfs, is_write, finish);
-                self.note_replay();
-                self.release_turn();
-                true
-            }
-            WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
-                "{me} speculation torn down by deadlock"
-            ))),
-            _ => unreachable!("speculating process woken with {reason:?}"),
-        }
     }
 
     /// Read `bytes` from this node's scratch disk (serialized with other
@@ -1960,101 +1174,24 @@ impl ProcCtx {
     /// watermark ([`crate::ckpt::DrainSchedule`]).
     ///
     /// Reservation happens inside a commit window (like every shared
-    /// resource), so the returned completion time is bit-identical
-    /// across execution modes. The queueing delay is *not* charged to
-    /// this process's `disk_time` — it never waited — but the bytes
-    /// count toward its write volume.
+    /// resource), so the returned completion time is deterministic. The
+    /// queueing delay is *not* charged to this process's `disk_time` —
+    /// it never waited — but the bytes count toward its write volume.
     pub fn disk_write_background(&mut self, bytes: u64) -> SimTime {
-        if self.spec_allowed() {
-            if let Some(finish) = self.disk_bg_speculative(bytes) {
-                return finish;
-            }
-        }
         self.become_min();
         // Straggling nodes drain slowly too (same rule as `device_io`).
         let dur = self.device_io_dur(bytes, false, true);
-        let finish = self
-            .engine
-            .reserve_cell(SpecCell::Disk(self.node), self.clock, dur);
+        let finish = {
+            let mut nr = self.engine.nodes[self.node.index()].lock();
+            reserve(&mut nr.disk_free, self.clock, dur)
+        };
         self.stats.disk_write_bytes += bytes;
         self.trace_push(
             self.clock,
             finish,
             crate::trace::EventKind::DiskWrite { bytes },
         );
-        self.release_turn();
         finish
-    }
-
-    /// Validated-class speculation for a background disk write: the
-    /// caller's clock never advances (`resume_clock` is the issue
-    /// time); only the predicted device completion is at stake.
-    /// Returns `None` when this process holds a kept token.
-    fn disk_bg_speculative(&mut self, bytes: u64) -> Option<SimTime> {
-        let me = self.pid;
-        let t = self.clock;
-        let cell = SpecCell::Disk(self.node);
-        let finish;
-        {
-            let mut g = self.engine.sched.lock();
-            if g.deadlocked {
-                drop(g);
-                panic::panic_any(DeadlockNote(format!(
-                    "{me} speculating during deadlock teardown"
-                )));
-            }
-            if g.turn == Some(me) {
-                return None;
-            }
-            let dur = self.device_io_dur(bytes, false, true);
-            let snap = self.engine.read_cell(cell);
-            let predicted_start = t.max(snap);
-            finish = predicted_start + dur;
-            let io = SpecIo {
-                cell,
-                snap,
-                predicted_start,
-                reserve: dur,
-                resume_clock: t,
-            };
-            {
-                let p = &mut g.procs[me.index()];
-                p.clock = t;
-                p.status = Status::Speculating(io);
-            }
-            g.inflight.retain(|&(q, _)| q != me);
-            Sched::push(&mut g, me, t);
-            self.engine.try_dispatch(&mut g);
-        }
-        let ckpt = SpecCheckpoint {
-            clock: t,
-            stats: self.stats.clone(),
-            trace_len: self.trace_buf.len(),
-        };
-        self.stats.disk_write_bytes += bytes;
-        self.trace_push(t, finish, crate::trace::EventKind::DiskWrite { bytes });
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
-        match reason {
-            WakeReason::SpecCommit => {
-                debug_assert_eq!(clock, t, "background write must not advance the clock");
-                self.spec_fails = 0;
-                Some(finish)
-            }
-            WakeReason::SpecReplay => {
-                self.rollback(ckpt);
-                let dur = self.device_io_dur(bytes, false, true);
-                let finish = self.engine.reserve_cell(cell, self.clock, dur);
-                self.stats.disk_write_bytes += bytes;
-                self.trace_push(t, finish, crate::trace::EventKind::DiskWrite { bytes });
-                self.note_replay();
-                self.release_turn();
-                Some(finish)
-            }
-            WakeReason::Deadlock => panic::panic_any(DeadlockNote(format!(
-                "{me} speculation torn down by deadlock"
-            ))),
-            _ => unreachable!("speculating process woken with {reason:?}"),
-        }
     }
 }
 
@@ -2070,7 +1207,6 @@ struct ProcSpawn {
 pub struct Sim {
     world: Arc<World>,
     spawns: Vec<ProcSpawn>,
-    exec: Execution,
 }
 
 /// Final report of one process.
@@ -2096,14 +1232,6 @@ pub struct SimReport {
     results: Vec<Option<Box<dyn Any + Send>>>,
     /// Messages that were sent to already-finished processes.
     pub dropped_msgs: u64,
-    /// Speculations committed clean this run (buffered sends plus
-    /// validated device reservations). Zero outside
-    /// [`Execution::Speculative`]. Wall-clock-schedule-dependent —
-    /// attribution only, deliberately excluded from digests/captures.
-    pub spec_commits: u64,
-    /// Speculations that validated stale and were rolled back and
-    /// replayed. Same caveats as `spec_commits`.
-    pub spec_rollbacks: u64,
     /// The execution trace, when tracing was enabled.
     pub trace: Option<Arc<crate::trace::Trace>>,
     /// Telemetry sampling interval this run used (`None` off; see
@@ -2146,26 +1274,12 @@ impl SimReport {
 }
 
 impl Sim {
-    /// New simulation over `topology`, using the process-wide default
-    /// execution mode (see [`set_default_execution`]).
+    /// New simulation over `topology`.
     pub fn new(topology: Topology) -> Sim {
         Sim {
             world: Arc::new(World::new(topology)),
             spawns: Vec::new(),
-            exec: default_execution(),
         }
-    }
-
-    /// Choose the execution mode for this run. Both modes produce
-    /// bit-identical virtual-time results; [`Execution::Parallel`]
-    /// overlaps compute segments across cores.
-    pub fn set_execution(&mut self, exec: Execution) {
-        self.exec = exec;
-    }
-
-    /// The execution mode this run will use.
-    pub fn execution(&self) -> Execution {
-        self.exec
     }
 
     /// Access the world (to pre-populate the filesystem).
@@ -2185,8 +1299,8 @@ impl Sim {
 
     /// Install a fault plan for this run (see [`crate::FaultPlan`]): node
     /// crashes, stragglers, link faults and message drops, all scheduled
-    /// in virtual time and replayed bit-identically in both execution
-    /// modes. The first installed plan wins; later calls return it
+    /// in virtual time and replayed bit-identically on every run. The
+    /// first installed plan wins; later calls return it
     /// unchanged.
     pub fn set_fault_plan(
         &mut self,
@@ -2243,14 +1357,7 @@ impl Sim {
         let selfprof_t0 = crate::selfprof::selfprof_enabled().then(std::time::Instant::now);
         let proc_nodes: Arc<Vec<NodeId>> = Arc::new(self.spawns.iter().map(|s| s.node).collect());
         let nodes = self.world.topology.len();
-        let release_cap = match self.exec {
-            Execution::Sequential => 0,
-            Execution::Parallel { threads } | Execution::Speculative { threads } => threads,
-        };
-        let speculative = matches!(self.exec, Execution::Speculative { .. });
-        let perturb = crate::perturb::current_perturbation();
         let engine = Arc::new(Engine {
-            perturb: perturb.clone(),
             sched: Mutex::new(Sched {
                 procs: (0..n)
                     .map(|_| SchedProc {
@@ -2258,14 +1365,12 @@ impl Sim {
                         gen: 0,
                         status: Status::Ready,
                         wake_reason: WakeReason::Turn,
-                        spec: std::collections::VecDeque::new(),
                     })
                     .collect(),
                 runnable: CalendarQueue::new(),
                 live: n,
                 deadlocked: false,
                 turn: None,
-                inflight: Vec::new(),
                 panics: Vec::new(),
             }),
             shards: self
@@ -2276,7 +1381,7 @@ impl Sim {
                     node: s.node,
                     slot: Slot::new(),
                     mail: Mutex::new(Mail {
-                        mailbox: std::collections::VecDeque::new(),
+                        mailbox: VecDeque::new(),
                         finish: None,
                         stats: ProcStats::default(),
                     }),
@@ -2293,23 +1398,9 @@ impl Sim {
             nfs_free: Mutex::new(SimTime::ZERO),
             dropped_msgs: AtomicU64::new(0),
             fault_seq: AtomicU64::new(0),
-            faults: self.world.faults.get().cloned(),
-            tracing: self.world.trace.get().is_some(),
-            commit_trace: Mutex::new(Vec::new()),
-            spec_commits: AtomicU64::new(0),
-            spec_rollbacks: AtomicU64::new(0),
-            spec_bug: if speculative {
-                crate::speculate::current_spec_bug()
-            } else {
-                None
-            },
             telemetry_interval,
             metric_sink: Mutex::new(Vec::new()),
-            resume: Mutex::new(ResumeQ {
-                q: std::collections::VecDeque::new(),
-                shutdown: false,
-            }),
-            resume_cv: Condvar::new(),
+            resume: Mutex::new(VecDeque::new()),
         });
 
         type ResultSlots = Vec<Option<Box<dyn Any + Send>>>;
@@ -2328,7 +1419,6 @@ impl Sim {
                 let world = self.world.clone();
                 let proc_nodes = proc_nodes.clone();
                 let results = results.clone();
-                let perturb = perturb.clone();
                 let name = spawn.name;
                 let body: Box<dyn FnOnce() + Send> = Box::new(move || {
                     // Wait for the first grant.
@@ -2349,21 +1439,12 @@ impl Sim {
                         span_stack: Vec::new(),
                         telemetry: engine.telemetry_interval.is_some(),
                         metric_buf: Vec::new(),
-                        release_cap,
-                        perturb,
-                        perturb_ops: 0,
-                        speculative,
-                        spec_fails: 0,
-                        spec_cooldown: 0,
                     };
                     if reason == WakeReason::Deadlock {
                         // Simulation tore down before we ever ran.
                         finish_proc(&engine, &mut ctx, None);
                         return;
                     }
-                    // Process start commits nothing: release the token so
-                    // starts overlap in parallel mode.
-                    ctx.release_turn();
                     let f = spawn.f;
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                     match outcome {
@@ -2383,7 +1464,7 @@ impl Sim {
         let coros = crate::coro::Coroutines::build(specs);
 
         // Enqueue every process at its start time and kick off the first
-        // grant; it lands on the resume queue the workers drain below.
+        // grant; it lands on the resume queue drained below.
         {
             let mut g = engine.sched.lock();
             for i in 0..n {
@@ -2392,55 +1473,8 @@ impl Sim {
             }
             engine.try_dispatch(&mut g);
         }
-
-        // Worker pool. The old engine ran every process on its own OS
-        // thread but the frontier rule capped concurrency at the token
-        // holder plus `threads` in-flight compute segments — so that is
-        // exactly the worker count. Sequential mode runs the single
-        // worker on the calling thread: zero thread spawns per run.
-        let workers = match self.exec {
-            Execution::Sequential => 1,
-            Execution::Parallel { threads } | Execution::Speculative { threads } => {
-                threads.saturating_add(1).min(512).min(n)
-            }
-        };
-        if workers <= 1 {
-            worker_loop(&engine, &coros);
-        } else {
-            std::thread::scope(|scope| {
-                for w in 1..workers {
-                    let engine = &engine;
-                    let coros = &coros;
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("sim-worker-{w}"))
-                        .spawn_scoped(scope, move || worker_loop(engine, coros));
-                    if let Err(e) = spawned {
-                        // Let the already-spawned workers drain and exit
-                        // before unwinding, or the scope join would hang.
-                        let mut q = engine.resume.lock();
-                        q.shutdown = true;
-                        engine.resume_cv.notify_all();
-                        drop(q);
-                        panic!(
-                            "failed to spawn engine worker thread {w} of {workers} \
-                             for {n} simulated processes: {e}"
-                        );
-                    }
-                }
-                worker_loop(&engine, &coros);
-            });
-        }
+        resume_loop(&engine, &coros);
         drop(coros);
-
-        // Fault events recorded by dispatcher-side commits of buffered
-        // sends; `sorted_events` recovers order, so a late absorb is as
-        // good as an inline one.
-        if let Some(tr) = self.world.trace.get() {
-            let buf = std::mem::take(&mut *engine.commit_trace.lock());
-            if !buf.is_empty() {
-                tr.absorb(buf);
-            }
-        }
 
         let g = engine.sched.lock();
         // Report application panics first; deadlock only if nothing else.
@@ -2455,6 +1489,10 @@ impl Sim {
         if let Some((_, msg, _)) = g.panics.first().cloned() {
             panic!("{msg}");
         }
+        assert_eq!(
+            g.live, 0,
+            "engine stalled: resume queue drained with processes still live"
+        );
         let procs = engine
             .shards
             .iter()
@@ -2478,9 +1516,6 @@ impl Sim {
                 let mut g = arc.lock();
                 g.iter_mut().map(|o| o.take()).collect()
             });
-        let spec_commits = engine.spec_commits.load(Ordering::Relaxed);
-        let spec_rollbacks = engine.spec_rollbacks.load(Ordering::Relaxed);
-        crate::speculate::spec_counters_add(spec_commits, spec_rollbacks);
         let mut metric_points = std::mem::take(&mut *engine.metric_sink.lock());
         crate::telemetry::sort_points(&mut metric_points);
         if let Some(t0) = selfprof_t0 {
@@ -2490,8 +1525,6 @@ impl Sim {
             procs,
             results,
             dropped_msgs: dropped,
-            spec_commits,
-            spec_rollbacks,
             trace: self.world.trace.get().cloned(),
             telemetry_interval: engine.telemetry_interval,
             metric_points,
@@ -2526,8 +1559,7 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
         // Normal completion is itself a visible event: align so the
         // transition to Done happens at a deterministic point of the
         // global order (e.g. whether a message to this process is
-        // dropped must not depend on wall-clock scheduling). During
-        // deadlock teardown the alignment is skipped.
+        // dropped). During deadlock teardown the alignment is skipped.
         let _ = ctx.align_quiet();
     }
     // Merge this process's trace buffer into the shared trace exactly
@@ -2550,16 +1582,12 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
     {
         let mut m = engine.shards[pid.index()].mail.lock();
         m.finish = Some(ctx.clock);
-        // Merge, don't overwrite: dispatcher-side commits of buffered
-        // speculative sends attribute fault stats to this shard.
-        let taken = std::mem::take(&mut ctx.stats);
-        m.stats.merge(&taken);
+        m.stats = std::mem::take(&mut ctx.stats);
     }
     let mut g = engine.sched.lock();
     if g.turn == Some(pid) {
         g.turn = None;
     }
-    g.inflight.retain(|&(q, _)| q != pid);
     {
         let p = &mut g.procs[pid.index()];
         p.status = Status::Done;
@@ -2570,58 +1598,29 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
         g.panics.push((pid, msg, was_deadlock));
     }
     g.live -= 1;
-    if g.live == 0 {
-        // Commit any sends still buffered by panicked/doomed processes
-        // so `dropped_msgs` matches the sequential engine (which sent
-        // them inline before unwinding).
-        engine.drain_spec(&mut g);
-        // Last process: signal the worker pool to exit once the queue
-        // drains. This coroutine performs no further visible operation
-        // (its results are already stored), so it runs straight to
-        // completion and its worker observes the shutdown.
-        let mut q = engine.resume.lock();
-        q.shutdown = true;
-        engine.resume_cv.notify_all();
-    } else if !g.deadlocked {
+    if g.live > 0 && !g.deadlocked {
         engine.try_dispatch(&mut g);
     }
 }
 
-/// Drain the resume queue, running each popped coroutine until its next
-/// suspension. Runs on the calling thread in sequential mode and on the
-/// fixed worker pool in parallel mode; exits when the queue is empty
-/// after shutdown was signalled.
-fn worker_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
+/// Drain the resume queue on the calling thread, running each popped
+/// coroutine until its next suspension. Every wake of a parked process
+/// enqueues it, so the queue runs dry exactly when the last process has
+/// finished.
+fn resume_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
     loop {
-        let pid = {
-            let mut q = engine.resume.lock();
-            loop {
-                if let Some(pid) = q.q.pop_front() {
-                    break pid;
-                }
-                if q.shutdown {
-                    return;
-                }
-                engine.resume_cv.wait(&mut q);
-            }
+        let Some(pid) = engine.resume.lock().pop_front() else {
+            return;
         };
         crate::selfprof::host_count(crate::selfprof::HostOp::CoroResume);
-        match coros.resume(pid.index()) {
-            crate::coro::SwitchOut::Done => {}
-            crate::coro::SwitchOut::Parked => {
-                // Publish the parked state — or, if a wake raced in
-                // between the coroutine's last value check and its
-                // context save, re-enqueue it ourselves (the waker saw
-                // `parked == false` and deliberately left that to us).
-                let mut s = engine.shards[pid.index()].slot.m.lock();
-                if s.value.is_some() {
-                    drop(s);
-                    engine.enqueue_resume(pid);
-                } else {
-                    crate::selfprof::host_count(crate::selfprof::HostOp::Park);
-                    s.parked = true;
-                }
-            }
+        if coros.resume(pid.index()) == crate::coro::SwitchOut::Parked {
+            // Resumption is synchronous, so no wake can have raced in
+            // between the coroutine's last value check and its
+            // suspension: publish the parked state.
+            let mut s = engine.shards[pid.index()].slot.m.lock();
+            debug_assert!(s.value.is_none(), "{pid} parked with a pending wake");
+            crate::selfprof::host_count(crate::selfprof::HostOp::Park);
+            s.parked = true;
         }
     }
 }

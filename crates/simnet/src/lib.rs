@@ -15,11 +15,8 @@
 //!   ordered: the process performing one always holds the commit token and
 //!   has the minimum virtual clock among runnable processes. This makes
 //!   every schedule, and therefore every reported time, reproducible
-//!   bit-for-bit. Under the default [`Execution::Sequential`] mode the
-//!   token doubles as a baton — one process runs at a time; under
-//!   [`Execution::Parallel`] the compute segments between commits overlap
-//!   across real cores while the commit order (and every virtual-time
-//!   result) stays bit-identical (see [`parallel`]).
+//!   bit-for-bit. The token doubles as a baton: execution is
+//!   single-threaded and one process runs at a time (see [`engine`]).
 //! * **Lazy conservatism.** Local computation (`compute`, `advance`)
 //!   advances the private clock without synchronization. Any operation with
 //!   global effect (message delivery, NIC/disk reservation) first yields
@@ -64,11 +61,8 @@ pub mod hash;
 pub mod job;
 pub mod message;
 pub mod observe;
-pub mod parallel;
-pub mod perturb;
 pub mod queue;
 pub mod selfprof;
-pub mod speculate;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
@@ -78,10 +72,7 @@ pub mod transport;
 
 pub use abort::{StructuredAbort, STRUCTURED_ABORT_MARKER};
 pub use ckpt::{CheckpointMode, Drain, DrainSchedule, FaultPolicy};
-pub use cost::{
-    allreduce_algo, collective_memo_stats, AllreduceAlgo, RuntimeClass, Work,
-    ALLREDUCE_RING_THRESHOLD,
-};
+pub use cost::{allreduce_algo, AllreduceAlgo, RuntimeClass, Work, ALLREDUCE_RING_THRESHOLD};
 pub use dataset::InputFormat;
 pub use engine::{Pid, ProcCtx, ProcReport, Sim, SimReport, World};
 pub use error::{DeadlockNote, RecvTimeout};
@@ -91,14 +82,11 @@ pub use hash::{det_hash, partition_of, DetHasher};
 pub use job::{JobChannel, LaunchEnv, TaskClosure, JOB_TAG_BASE};
 pub use message::{MatchSpec, Message, Payload, Tag};
 pub use observe::{begin_capture, capture_active, end_capture, RunCapture};
-pub use parallel::{default_execution, set_default_execution, Execution};
-pub use perturb::{current_perturbation, set_perturbation, Perturbation};
 pub use queue::{CalendarQueue, OrderKey};
 pub use selfprof::{
     selfprof_enabled, selfprof_from_env, selfprof_reset, selfprof_snapshot, set_selfprof, HostOp,
     HOST_OP_NAMES,
 };
-pub use speculate::{current_spec_bug, set_spec_bug, spec_counters_take, SpecBug};
 pub use stats::ProcStats;
 pub use telemetry::{
     parse_telemetry_interval, set_telemetry_interval, telemetry_from_env_value, telemetry_interval,
@@ -203,122 +191,6 @@ mod engine_tests {
         for _ in 0..3 {
             assert_eq!(run_once(), first, "simulation must be deterministic");
         }
-    }
-
-    #[test]
-    fn parallel_execution_is_bit_identical_to_sequential() {
-        fn run_once(exec: Execution) -> (u64, Vec<u64>, Vec<ProcStats>) {
-            let mut sim = Sim::new(Topology::comet(4));
-            sim.set_execution(exec);
-            let tr = Transport::ipoib_socket();
-            let n = 8u32;
-            for i in 0..n {
-                sim.spawn(NodeId(i % 4), format!("w{i}"), move |ctx| {
-                    let next = Pid((i + 1) % n);
-                    for round in 0..4u64 {
-                        ctx.compute(Work::flops(1.0e5 * (i as f64 + round as f64 + 1.0)), 1.0);
-                        ctx.send(next, 9, 1 << (10 + (i % 4)), Payload::Empty, &tr);
-                        let m = ctx.recv(MatchSpec::tag(9));
-                        ctx.disk_write(m.bytes);
-                    }
-                    ctx.one_sided_transfer(NodeId((i + 1) % 4), 4096, &Transport::rdma_verbs(), 2);
-                });
-            }
-            let report = sim.run();
-            (
-                report.makespan().nanos(),
-                report.procs.iter().map(|p| p.finish.nanos()).collect(),
-                report.procs.iter().map(|p| p.stats.clone()).collect(),
-            )
-        }
-        let seq = run_once(Execution::Sequential);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run_once(Execution::Parallel { threads }),
-                seq,
-                "parallel({threads}) diverged from sequential"
-            );
-        }
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run_once(Execution::Speculative { threads }),
-                seq,
-                "speculative({threads}) diverged from sequential"
-            );
-        }
-    }
-
-    /// A single process on an idle machine speculates its device
-    /// reservations deterministically: the snapshot can never go stale,
-    /// so every one commits clean and the counters prove the optimistic
-    /// path actually ran (this is the workload the criterion overhead
-    /// benches reuse).
-    #[test]
-    fn speculative_single_process_device_ops_commit_clean() {
-        let mut sim = two_node_sim();
-        sim.set_execution(Execution::Speculative { threads: 1 });
-        sim.spawn(NodeId(0), "solo", |ctx| {
-            for _ in 0..8 {
-                ctx.disk_write(1 << 20);
-                ctx.disk_read(1 << 20);
-                ctx.nfs_write(1 << 16);
-            }
-        });
-        let report = sim.run();
-        assert!(
-            report.spec_commits >= 24,
-            "expected every device op to commit speculatively, got {}",
-            report.spec_commits
-        );
-        assert_eq!(
-            report.spec_rollbacks, 0,
-            "uncontended cells cannot go stale"
-        );
-    }
-
-    /// `SpecBug::ForceReplay` drives every validated-class speculation
-    /// down the rollback-and-replay path; results must still be
-    /// bit-identical because a replay recomputes from live state under
-    /// the token. This is the soundness half of the planted-bug pair
-    /// (the unsound half, `TrustStalePrediction`, is proven *caught* by
-    /// the schedule-explorer self-test).
-    #[test]
-    fn speculative_forced_replay_is_bit_identical() {
-        fn run_once(exec: Execution) -> (u64, Vec<u64>) {
-            let mut sim = Sim::new(Topology::comet(2));
-            sim.set_execution(exec);
-            let tr = Transport::ipoib_socket();
-            for i in 0..4u32 {
-                sim.spawn(NodeId(i % 2), format!("w{i}"), move |ctx| {
-                    let next = Pid((i + 1) % 4);
-                    for _ in 0..3u64 {
-                        ctx.compute(Work::flops(5.0e4 * (i as f64 + 1.0)), 1.0);
-                        ctx.send(next, 3, 1 << 12, Payload::Empty, &tr);
-                        let m = ctx.recv(MatchSpec::tag(3));
-                        ctx.disk_write(m.bytes);
-                        ctx.disk_write_background(1 << 18);
-                    }
-                });
-            }
-            let report = sim.run();
-            (
-                report.makespan().nanos(),
-                report.procs.iter().map(|p| p.finish.nanos()).collect(),
-            )
-        }
-        let seq = run_once(Execution::Sequential);
-        set_spec_bug(Some(SpecBug::ForceReplay));
-        let spec = run_once(Execution::Speculative { threads: 4 });
-        set_spec_bug(None);
-        assert_eq!(spec, seq, "forced replays changed a virtual-time result");
-    }
-
-    #[test]
-    fn execution_mode_is_reported_by_builder() {
-        let mut sim = two_node_sim();
-        assert_eq!(sim.execution(), Execution::Sequential);
-        sim.set_execution(Execution::Parallel { threads: 3 });
-        assert_eq!(sim.execution(), Execution::Parallel { threads: 3 });
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! Determinism: everything in a capture derives from virtual-time state
 //! ([`crate::Trace::sorted_events`] order, per-process stats, finish
-//! times), all of which are bit-identical across
-//! [`crate::Execution::Sequential`] and [`crate::Execution::Parallel`].
-//! Captures therefore compare byte-equal across modes once serialized.
+//! times), all of which are bit-identical from run to run. Captures
+//! therefore compare byte-equal across runs once serialized.
 //!
 //! Cost: one relaxed atomic load per `Sim::run` when inactive — nothing
 //! on the engine's per-operation hot path.
@@ -58,12 +57,6 @@ pub struct RunCapture {
     /// time state only) but digest-excluded alongside the interval: a
     /// telemetry-on run must digest identically to a telemetry-off run.
     pub metric_points: Vec<crate::telemetry::MetricPoint>,
-    /// Speculations committed clean. Wall-clock-schedule-dependent —
-    /// surfaced only in the report's `host_profile` section, never
-    /// digested or compared across modes.
-    pub spec_commits: u64,
-    /// Speculations rolled back and replayed. Same caveats.
-    pub spec_rollbacks: u64,
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -112,8 +105,6 @@ pub(crate) fn record_run(report: &SimReport, cluster_nodes: usize) {
         events,
         telemetry_interval: report.telemetry_interval,
         metric_points: report.metric_points.clone(),
-        spec_commits: report.spec_commits,
-        spec_rollbacks: report.spec_rollbacks,
     };
     CAPTURES.lock().push(cap);
 }

@@ -1,17 +1,13 @@
 //! Host-side self-profiler: cheap wall-clock accounting of the
 //! simulator's own subsystems, so a BENCH row that moved can be
 //! explained by the *mix of engine work* that produced it (queue ops,
-//! coroutine switches, token protocol, speculation validate/replay)
-//! rather than guessed at.
+//! coroutine switches, token protocol) rather than guessed at.
 //!
-//! This is the one deliberately *non*-deterministic corner of the
-//! telemetry subsystem: the counters tally what the host actually did,
-//! which depends on the wall-clock schedule (a parallel run parks and
-//! wakes where a sequential run self-grants; a speculative run
-//! validates and replays). They are therefore emitted only inside the
-//! report's `host_profile` section — gated behind `HPCBD_SELFPROF` —
-//! and never compared across execution modes or folded into digests,
-//! exactly like `spec_commits`.
+//! This is the one deliberately host-side corner of the telemetry
+//! subsystem: the counters tally what the host actually did, and the
+//! run wall time is a wall-clock reading. They are therefore emitted
+//! only inside the report's `host_profile` section — gated behind
+//! `HPCBD_SELFPROF` — and never folded into digests.
 //!
 //! Cost contract: **zero-cost when off** up to one relaxed atomic load
 //! per counted operation (the same budget `observe::capture_active`
@@ -38,29 +34,17 @@ pub enum HostOp {
     Wake,
     /// Commit-token grants through the dispatcher.
     TokenGrant,
-    /// Token releases into parallel in-flight execution.
-    TokenRelease,
-    /// Speculative device reservations validated at their order key.
-    SpecValidate,
-    /// Speculations that validated stale and were rolled back/replayed.
-    SpecReplay,
-    /// Buffered speculative sends committed by the dispatcher.
-    SendCommit,
 }
 
 /// Display names, indexed by `HostOp as usize` — also the key order of
 /// the `host_profile` JSON section.
-pub const HOST_OP_NAMES: [&str; 10] = [
+pub const HOST_OP_NAMES: [&str; 6] = [
     "queue_push",
     "queue_pop",
     "coro_resume",
     "park",
     "wake",
     "token_grant",
-    "token_release",
-    "spec_validate",
-    "spec_replay",
-    "send_commit",
 ];
 
 const N_OPS: usize = HOST_OP_NAMES.len();
@@ -156,11 +140,11 @@ mod tests {
         set_selfprof(true);
         host_count(HostOp::QueuePush);
         host_count(HostOp::QueuePush);
-        host_count(HostOp::SpecReplay);
+        host_count(HostOp::TokenGrant);
         set_selfprof(false);
         let snap = selfprof_snapshot();
         assert_eq!(snap[HostOp::QueuePush as usize], ("queue_push", 2));
-        assert_eq!(snap[HostOp::SpecReplay as usize], ("spec_replay", 1));
+        assert_eq!(snap[HostOp::TokenGrant as usize], ("token_grant", 1));
         selfprof_reset();
         assert!(selfprof_snapshot().iter().all(|&(_, v)| v == 0));
     }

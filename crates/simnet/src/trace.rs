@@ -1,4 +1,4 @@
-//! Execution tracing: a per-process timeline of simulation-visible
+//! Tracing: a per-process timeline of simulation-visible
 //! operations.
 //!
 //! Disabled by default (zero overhead); enable with
@@ -153,12 +153,11 @@ impl Trace {
 
     /// Events in the deterministic export order.
     ///
-    /// Under [`crate::Execution::Parallel`] events from different
-    /// processes are appended in wall-clock order, which varies run to
-    /// run — so the export order must come entirely from the sort key.
+    /// Events from different processes are appended in process-finish
+    /// order, so the export order must come entirely from the sort key.
     /// The key `(start, pid, end, kind)` is a total order up to fully
     /// identical (hence interchangeable) events, making trace exports
-    /// bit-identical across runs and execution modes.
+    /// bit-identical across runs.
     pub fn sorted_events(&self) -> Vec<TraceEvent> {
         fn kind_key(k: &EventKind) -> (u8, u64, u32) {
             match *k {

@@ -1,68 +1,62 @@
-//! Cross-mode bit-determinism regression tests.
+//! Bit-determinism regression tests.
 //!
-//! The engine's contract (DESIGN.md §"Parallel engine") is that
-//! [`Execution::Parallel`] produces **bit-identical** virtual-time
-//! results to [`Execution::Sequential`] — same makespans, same
-//! per-process finish times and statistics, same benchmark tables. These
-//! tests run whole paper pipelines (Fig. 3, Fig. 6) and an adversarial
-//! engine-level workload twice under each mode and compare everything.
+//! The engine's contract (DESIGN.md §2) is that a simulation is a pure
+//! function of its inputs: same makespans, same per-process finish times
+//! and statistics, same benchmark tables on every run. These tests run
+//! whole paper pipelines (Fig. 3, Fig. 6) and an adversarial
+//! engine-level workload twice in each of two host-observation modes —
+//! plain, and with the host self-profiler on (the mode the benchmark's
+//! per-layer ledger runs in) — and compare everything. Profiling counts
+//! host operations and reads the wall clock; it must never move a
+//! virtual-time result.
 //!
-//! The execution mode is process-global state
-//! ([`hpcbd::simnet::set_default_execution`]), so every test in this
-//! binary serializes on one mutex and restores Sequential before
+//! The self-profiler switch is process-global state
+//! ([`hpcbd::simnet::set_selfprof`]), so every test in this binary
+//! serializes on one mutex and switches the profiler off before
 //! releasing it.
 
 use std::sync::Mutex;
 
 use hpcbd::cluster::Placement;
 use hpcbd::core::{bench_pagerank, bench_reduce};
-use hpcbd::simnet::{
-    set_default_execution, Execution, MatchSpec, Payload, Sim, SimTime, Topology, Transport, Work,
-};
+use hpcbd::simnet::{set_selfprof, MatchSpec, Payload, Sim, SimTime, Topology, Transport, Work};
 
-/// Serializes tests that flip the process-global execution default.
-static EXEC_GUARD: Mutex<()> = Mutex::new(());
+/// Serializes tests that flip the process-global profiler switch.
+static MODE_GUARD: Mutex<()> = Mutex::new(());
 
-/// Run `f` twice under each mode (Sequential, Parallel, Speculative),
-/// returning the six outputs in order [seq, seq, par, par, spec, spec].
-fn six_runs<T>(mut f: impl FnMut() -> T) -> Vec<T> {
-    let _g = EXEC_GUARD.lock().unwrap();
-    let mut out = Vec::with_capacity(6);
-    for exec in [
-        Execution::Sequential,
-        Execution::Sequential,
-        Execution::Parallel { threads: 4 },
-        Execution::Parallel { threads: 4 },
-        Execution::Speculative { threads: 4 },
-        Execution::Speculative { threads: 4 },
-    ] {
-        set_default_execution(exec);
+/// Run `f` twice per mode (plain, self-profiled), returning the four
+/// outputs in order [plain, plain, profiled, profiled].
+fn four_runs<T>(mut f: impl FnMut() -> T) -> Vec<T> {
+    let _g = MODE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let mut out = Vec::with_capacity(4);
+    for profiled in [false, false, true, true] {
+        set_selfprof(profiled);
         out.push(f());
     }
-    set_default_execution(Execution::Sequential);
+    set_selfprof(false);
     out
+}
+
+/// Assert the four runs of [`four_runs`] agree, naming the pair that
+/// does not.
+fn assert_identical<T: PartialEq + std::fmt::Debug>(runs: &[T]) {
+    assert_eq!(runs[0], runs[1], "plain runs differ");
+    assert_eq!(runs[0], runs[2], "self-profiled run differs from plain");
+    assert_eq!(runs[2], runs[3], "self-profiled runs differ");
 }
 
 #[test]
 fn fig3_pipeline_is_bit_identical_across_modes() {
     let tables =
-        six_runs(|| bench_reduce::figure3(Placement::new(2, 4), &[1usize, 4096], 3).to_csv());
-    assert_eq!(tables[0], tables[1], "sequential runs differ");
-    assert_eq!(tables[0], tables[2], "parallel differs from sequential");
-    assert_eq!(tables[2], tables[3], "parallel runs differ");
-    assert_eq!(tables[0], tables[4], "speculative differs from sequential");
-    assert_eq!(tables[4], tables[5], "speculative runs differ");
+        four_runs(|| bench_reduce::figure3(Placement::new(2, 4), &[1usize, 4096], 3).to_csv());
+    assert_identical(&tables);
 }
 
 #[test]
 fn fig6_pipeline_is_bit_identical_across_modes() {
     let input = bench_pagerank::PagerankInput::small();
-    let tables = six_runs(|| bench_pagerank::figure6(&input, &[1u32, 2], 4).to_csv());
-    assert_eq!(tables[0], tables[1], "sequential runs differ");
-    assert_eq!(tables[0], tables[2], "parallel differs from sequential");
-    assert_eq!(tables[2], tables[3], "parallel runs differ");
-    assert_eq!(tables[0], tables[4], "speculative differs from sequential");
-    assert_eq!(tables[4], tables[5], "speculative runs differ");
+    let tables = four_runs(|| bench_pagerank::figure6(&input, &[1u32, 2], 4).to_csv());
+    assert_identical(&tables);
 }
 
 /// An adversarial mixed workload exercising every visible-operation
@@ -141,18 +135,14 @@ fn engine_reports_are_bit_identical_across_modes() {
         }
     }
 
-    let runs = six_runs(run_once);
-    assert_eq!(runs[0], runs[1], "sequential runs differ");
-    assert_eq!(runs[0], runs[2], "parallel differs from sequential");
-    assert_eq!(runs[2], runs[3], "parallel runs differ");
-    assert_eq!(runs[0], runs[4], "speculative differs from sequential");
-    assert_eq!(runs[4], runs[5], "speculative runs differ");
+    let runs = four_runs(run_once);
+    assert_identical(&runs);
 }
 
 /// Faulty runs must be exactly as deterministic as clean ones: the same
 /// [`hpcbd::simnet::FaultPlan`] — a node crash, a straggler interval, a
 /// degraded link, and heavy message drops all at once — replayed under
-/// both execution modes must yield byte-identical traces (including the
+/// both observation modes must yield byte-identical traces (including the
 /// injected `Fault` events) and identical per-process statistics.
 #[test]
 fn faulty_runs_are_bit_identical_across_modes() {
@@ -236,23 +226,19 @@ fn faulty_runs_are_bit_identical_across_modes() {
         }
     }
 
-    let runs = six_runs(run_once);
+    let runs = four_runs(run_once);
     assert!(
         runs[0].stats.iter().any(|s| s.fault_events > 0),
         "fault statistics must be populated"
     );
-    assert_eq!(runs[0], runs[1], "sequential runs differ");
-    assert_eq!(runs[0], runs[2], "parallel differs from sequential");
-    assert_eq!(runs[2], runs[3], "parallel runs differ");
-    assert_eq!(runs[0], runs[4], "speculative differs from sequential");
-    assert_eq!(runs[4], runs[5], "speculative runs differ");
+    assert_identical(&runs);
 }
 
 /// The observability layer must not disturb determinism, and its own
 /// output must be deterministic: capturing a Fig. 6 quick run and
 /// rendering the full [`hpcbd::obs::RunReport`] (phase attribution,
 /// causal critical path, category breakdowns) must produce byte-identical
-/// JSON under both execution modes.
+/// JSON in both observation modes.
 #[test]
 fn run_reports_are_byte_identical_across_modes() {
     fn run_once() -> String {
@@ -267,18 +253,8 @@ fn run_reports_are_byte_identical_across_modes() {
         hpcbd::obs::RunReport::from_captures("fig6", true, &captures).to_json()
     }
 
-    let reports = six_runs(run_once);
-    assert_eq!(reports[0], reports[1], "sequential reports differ");
-    assert_eq!(
-        reports[0], reports[2],
-        "parallel report differs from sequential"
-    );
-    assert_eq!(reports[2], reports[3], "parallel reports differ");
-    assert_eq!(
-        reports[0], reports[4],
-        "speculative report differs from sequential"
-    );
-    assert_eq!(reports[4], reports[5], "speculative reports differ");
+    let reports = four_runs(run_once);
+    assert_identical(&reports);
     // The report must actually contain phase attribution, not an empty
     // shell: PageRank iterations and runtime collectives are annotated.
     assert!(
