@@ -4,9 +4,9 @@
 
 use hpcbd_cluster::Placement;
 use hpcbd_core::bench_pagerank::{PagerankInput, SparkVariant};
-use hpcbd_minimpi::{mpirun, Checkpointer, ReduceOp};
+use hpcbd_minimpi::{mpirun, ReduceOp};
 use hpcbd_minspark::{ShuffleEngine, SparkCluster, SparkConfig, StorageLevel};
-use hpcbd_simnet::{SimDuration, SimTime, Work};
+use hpcbd_simnet::{Checkpointer, SimDuration, SimTime, Work};
 use std::sync::Arc;
 
 /// MPI iterative job with coordinated checkpoints; rank behavior after

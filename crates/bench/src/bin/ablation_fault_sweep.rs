@@ -10,11 +10,13 @@
 //! registry pins the `--quick` output verbatim.
 
 use hpcbd_cluster::Placement;
-use hpcbd_minimpi::{mpirun_faulty, CheckpointMode, Checkpointer, FaultPolicy, ReduceOp};
+use hpcbd_minimpi::{mpirun_faulty, restart_replayed, ReduceOp};
 use hpcbd_minmapreduce::{InputFormat, JobConf, MrJobBuilder};
-use hpcbd_minshmem::{shmem_run_faulty, PeCtx, ShmemCheckpointer};
+use hpcbd_minshmem::{shmem_run_faulty, PeCtx};
 use hpcbd_minspark::{ShuffleEngine, SparkCluster, SparkConfig};
-use hpcbd_simnet::{FaultPlan, NodeId, SimDuration, SimTime, Work};
+use hpcbd_simnet::{
+    CheckpointMode, Checkpointer, FaultPlan, FaultPolicy, NodeId, SimDuration, SimTime, Work,
+};
 use std::sync::Arc;
 
 /// Which fault the scenario injects; crash times are derived per
@@ -101,7 +103,7 @@ fn run_mpi(placement: Placement, iters: u32, interval: u32, plan: FaultPlan) -> 
                     relaunch_stall: stall,
                 },
             ) {
-                iter = ck.restart_replayed(rank, stall, iter, per_iter, 1);
+                iter = restart_replayed(&mut ck, rank, stall, iter, per_iter, 1);
                 continue;
             }
             iter += 1;
@@ -261,7 +263,7 @@ fn run_shmem_ckpt(
     let out = shmem_run_faulty(placement, plan, move |pe: &mut PeCtx| {
         let per_iter = Work::new(2.0e8, 8.0e8);
         let stall = SimDuration::from_secs(4);
-        let mut ck = ShmemCheckpointer::new(interval, 24u64 << 20).with_mode(mode);
+        let mut ck = Checkpointer::new(interval, 24u64 << 20).with_mode(mode);
         let acc = pe.malloc::<f64>("a4c_acc", 1, 0.0);
         let mut state = 0u64;
         let mut replayed = 0u64;

@@ -14,7 +14,7 @@
 //!   telemetry digest identity) over representative pipelines.
 //! * `conformance campaign [--seed N] [--campaigns N] [--plan-out PATH]`
 //!   — run the seeded fault-campaign explorer (`hpcbd-check`): first a
-//!   self-test that plants [`hpcbd_minimpi::RecoveryBug`] and demands
+//!   self-test that plants [`hpcbd_simnet::RecoveryBug`] and demands
 //!   the harness catch the silent corruption (with a shrunk minimal
 //!   plan), then N adversarial campaigns per runtime (MPI, SHMEM,
 //!   Spark), each of which must end digest-equal to the fault-free
@@ -290,12 +290,13 @@ fn lint(args: &[String]) -> ExitCode {
 mod campaign_workloads {
     use hpcbd_check::{classify_run, CampaignOutcome, CampaignSpace};
     use hpcbd_cluster::Placement;
-    use hpcbd_minimpi::{
-        mpirun_faulty, CheckpointMode, Checkpointer, FaultPolicy, RecoveryBug, ReduceOp,
-    };
-    use hpcbd_minshmem::{shmem_run_faulty, PeCtx, ShmemCheckpointer};
+    use hpcbd_minimpi::{mpirun_faulty, ReduceOp};
+    use hpcbd_minshmem::{shmem_run_faulty, PeCtx};
     use hpcbd_minspark::{SparkCluster, SparkConfig};
-    use hpcbd_simnet::{FaultPlan, NodeId, SimDuration, SimTime, Work};
+    use hpcbd_simnet::{
+        CheckpointMode, Checkpointer, FaultPlan, FaultPolicy, NodeId, RecoveryBug, SimDuration,
+        SimTime, Work,
+    };
 
     /// A runtime under campaign test: a name, the closure that runs it
     /// under a plan, and the space of faults the generator may aim at
@@ -365,7 +366,7 @@ mod campaign_workloads {
         let out = shmem_run_faulty(Placement::new(2, 2), plan, |pe: &mut PeCtx| {
             let work = Work::new(5.0e7, 0.0);
             let stall = SimDuration::from_secs(1);
-            let mut ck = ShmemCheckpointer::new(2, 64 << 20).with_mode(CheckpointMode::Async);
+            let mut ck = Checkpointer::new(2, 64 << 20).with_mode(CheckpointMode::Async);
             let acc = pe.malloc::<f64>("campaign_acc", 1, 0.0);
             let mut state = 0u64;
             let mut iter = 0u32;

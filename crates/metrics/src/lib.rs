@@ -93,7 +93,6 @@ impl BoilerplateSpec {
             paradigm: "OpenSHMEM",
             patterns: vec![
                 "shmem_run",
-                "ShmemJob",
                 "Placement::",
                 ".malloc",
                 "barrier_all",

@@ -151,7 +151,7 @@ mod tests {
     use hpcbd_cluster::Placement;
     use hpcbd_simnet::NodeId;
 
-    fn with_file<T, F>(placement: Placement, size: u64, f: F) -> crate::MpiOutput<T>
+    fn with_file<T, F>(placement: Placement, size: u64, f: F) -> hpcbd_cluster::SpmdOutput<T>
     where
         T: Send + 'static,
         F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
@@ -167,7 +167,7 @@ mod tests {
         let job = crate::launch::MpiJob::spawn(&mut sim, placement, f);
         let mut report = sim.run();
         let results = job.results::<T>(&mut report);
-        crate::MpiOutput { results, report }
+        hpcbd_cluster::SpmdOutput { results, report }
     }
 
     #[test]

@@ -1,86 +1,34 @@
-//! `mpirun` — SPMD job launch.
+//! `mpirun` — SPMD job launch of MPI ranks.
+//!
+//! The spawn loop, rank-map publication, fault-plan installation and
+//! result collection are [`hpcbd_cluster::SpmdJob`]'s; this module only
+//! wraps each process in an [`MpiRank`] sharing the job's RMA window
+//! store, and names it `mpi-rank{r}`.
 
-use std::sync::Arc;
-
-use hpcbd_cluster::{ClusterSpec, Placement, RankMap};
-use hpcbd_simnet::{FaultPlan, Pid, ProcCtx, Sim, SimReport, SimTime};
+use hpcbd_cluster::{launch, ClusterSpec, Placement, SpmdJob, SpmdOutput};
+use hpcbd_simnet::{FaultPlan, Sim};
 
 use crate::rank::MpiRank;
+use crate::rma::WinStore;
 
-/// Everything an MPI job run produced: per-rank results in rank order,
-/// plus the simulation report (per-process stats and the makespan, which
-/// is the job's execution time).
-pub struct MpiOutput<T> {
-    /// Per-rank return values, indexed by rank.
-    pub results: Vec<T>,
-    /// Engine report.
-    pub report: SimReport,
-}
-
-impl<T> MpiOutput<T> {
-    /// The job's execution time (virtual time of the slowest rank).
-    pub fn elapsed(&self) -> SimTime {
-        self.report.makespan()
-    }
-}
-
-/// A builder for embedding MPI ranks into an existing simulation that
-/// also hosts non-MPI processes (HDFS daemons, measurement probes, ...).
-pub struct MpiJob {
-    placement: Placement,
-    pids: Vec<Pid>,
-}
+/// Embeds MPI ranks into an existing simulation that also hosts non-MPI
+/// processes (HDFS daemons, measurement probes, ...).
+pub struct MpiJob;
 
 impl MpiJob {
     /// Spawn one process per rank of `placement` into `sim`, each running
     /// `f`. Rank r is placed on node `placement.node_of_rank(r)`.
-    pub fn spawn<T, F>(sim: &mut Sim, placement: Placement, f: F) -> MpiJob
+    pub fn spawn<T, F>(sim: &mut Sim, placement: Placement, f: F) -> SpmdJob
     where
         T: Send + 'static,
         F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
     {
-        let f = Arc::new(f);
-        let mut pids = Vec::with_capacity(placement.total() as usize);
-        // The rank map is published to every rank closure after all of
-        // them are registered; processes only start at `sim.run()`, so
-        // the OnceLock is always populated before any rank reads it.
-        let shared_map: Arc<std::sync::OnceLock<Arc<RankMap>>> =
-            Arc::new(std::sync::OnceLock::new());
-        let win_store = crate::rma::WinStore::new();
-        for (rank, node) in placement.iter() {
-            let f = f.clone();
-            let shared_map = shared_map.clone();
-            let win_store = win_store.clone();
-            let pid = sim.spawn(node, format!("mpi-rank{rank}"), move |ctx: &mut ProcCtx| {
-                let map = shared_map
-                    .get()
-                    .expect("rank map published before run")
-                    .clone();
-                let mut rank_handle =
-                    MpiRank::new(ctx, rank, map, placement).with_win_store(win_store);
-                f(&mut rank_handle)
-            });
-            pids.push(pid);
-        }
-        shared_map
-            .set(Arc::new(RankMap::from_pids(pids.clone())))
-            .expect("rank map set once");
-        MpiJob { placement, pids }
-    }
-
-    /// Pids of the spawned ranks, in rank order.
-    pub fn pids(&self) -> &[Pid] {
-        &self.pids
-    }
-
-    /// The job placement.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// Collect per-rank results from a finished simulation.
-    pub fn results<T: 'static>(&self, report: &mut SimReport) -> Vec<T> {
-        self.pids.iter().map(|p| report.result::<T>(*p)).collect()
+        let win_store = WinStore::new();
+        SpmdJob::spawn(sim, placement, "mpi-rank", move |ctx, rank, map| {
+            let mut rank_handle =
+                MpiRank::new(ctx, rank, map, placement).with_win_store(win_store.clone());
+            f(&mut rank_handle)
+        })
     }
 }
 
@@ -88,7 +36,7 @@ impl MpiJob {
 /// placement, run it to completion, and return per-rank results.
 ///
 /// This is the `mpirun -np N --map-by ppr:P:node` of the study.
-pub fn mpirun<T, F>(placement: Placement, f: F) -> MpiOutput<T>
+pub fn mpirun<T, F>(placement: Placement, f: F) -> SpmdOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
@@ -97,62 +45,38 @@ where
 }
 
 /// [`mpirun`] with an explicit cluster description.
-pub fn mpirun_on<T, F>(cluster: &ClusterSpec, placement: Placement, f: F) -> MpiOutput<T>
+pub fn mpirun_on<T, F>(cluster: &ClusterSpec, placement: Placement, f: F) -> SpmdOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
 {
-    mpirun_impl(cluster, placement, None, f)
+    launch(cluster, placement, None, |sim| {
+        MpiJob::spawn(sim, placement, f)
+    })
 }
 
 /// [`mpirun`] under a deterministic [`FaultPlan`]: the plan is installed
 /// before any rank starts, so node crashes, stragglers, link faults, and
 /// message drops hit the job exactly as scheduled. Pair with
-/// [`crate::Checkpointer::poll_plan_failure`] inside `f` for recovery —
-/// without it, a crashed rank simply never reaches its next collective
-/// and the job hangs or aborts, which is plain MPI's actual behavior.
-pub fn mpirun_faulty<T, F>(placement: Placement, plan: FaultPlan, f: F) -> MpiOutput<T>
+/// [`hpcbd_simnet::Checkpointer::poll_plan_failure`] inside `f` for
+/// recovery — without it, a crashed rank simply never reaches its next
+/// collective and the job hangs or aborts, which is plain MPI's actual
+/// behavior.
+pub fn mpirun_faulty<T, F>(placement: Placement, plan: FaultPlan, f: F) -> SpmdOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
 {
-    mpirun_impl(
-        &ClusterSpec::comet(placement.nodes),
-        placement,
-        Some(plan),
-        f,
-    )
-}
-
-fn mpirun_impl<T, F>(
-    cluster: &ClusterSpec,
-    placement: Placement,
-    faults: Option<FaultPlan>,
-    f: F,
-) -> MpiOutput<T>
-where
-    T: Send + 'static,
-    F: Fn(&mut MpiRank) -> T + Send + Sync + 'static,
-{
-    assert!(
-        placement.nodes <= cluster.nodes,
-        "placement needs {} nodes, cluster has {}",
-        placement.nodes,
-        cluster.nodes
-    );
-    let mut sim = Sim::new(cluster.topology());
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan);
-    }
-    let job = MpiJob::spawn(&mut sim, placement, f);
-    let mut report = sim.run();
-    let results = job.results::<T>(&mut report);
-    MpiOutput { results, report }
+    let cluster = ClusterSpec::comet(placement.nodes);
+    launch(&cluster, placement, Some(plan), |sim| {
+        MpiJob::spawn(sim, placement, f)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcbd_simnet::SimTime;
 
     #[test]
     fn ranks_see_correct_rank_and_size() {

@@ -37,10 +37,10 @@ pub mod rma;
 pub mod scheduled;
 pub mod subcomm;
 
-pub use checkpoint::{CheckpointMode, Checkpointer, FaultPolicy, RecoveryBug};
+pub use checkpoint::restart_replayed;
 pub use datatype::{MpiScalar, ReduceOp};
 pub use io::{MpiFile, MpiIoError};
-pub use launch::{mpirun, mpirun_faulty, mpirun_on, MpiJob, MpiOutput};
+pub use launch::{mpirun, mpirun_faulty, mpirun_on, MpiJob};
 pub use nonblocking::MpiRequest;
 pub use rank::MpiRank;
 pub use rma::{MpiWin, WinStore};

@@ -1,76 +1,32 @@
 //! SPMD launch of a PE team (`shmem_init` / `oshrun`).
+//!
+//! The spawn loop, PE-map publication, fault-plan installation and
+//! result collection are [`hpcbd_cluster::SpmdJob`]'s; this module only
+//! wraps each process in a [`PeCtx`] over the team's symmetric heaps,
+//! and names it `pe{n}`.
 
-use std::sync::Arc;
-
-use hpcbd_cluster::{ClusterSpec, Placement, RankMap};
-use hpcbd_simnet::{FaultPlan, Pid, ProcCtx, Sim, SimReport, SimTime};
+use hpcbd_cluster::{launch, ClusterSpec, Placement, SpmdJob, SpmdOutput};
+use hpcbd_simnet::{FaultPlan, Sim};
 
 use crate::heap::SymHeaps;
 use crate::pe::PeCtx;
 
-/// Results of a PE team run.
-pub struct ShmemOutput<T> {
-    /// Per-PE return values, indexed by PE number.
-    pub results: Vec<T>,
-    /// Engine report.
-    pub report: SimReport,
-}
-
-impl<T> ShmemOutput<T> {
-    /// Job run time (virtual time of the slowest PE).
-    pub fn elapsed(&self) -> SimTime {
-        self.report.makespan()
-    }
-}
-
-/// Embeds a PE team into an existing simulation (mirrors
-/// `hpcbd_minimpi::MpiJob`).
-pub struct ShmemJob {
-    pids: Vec<Pid>,
-}
-
-impl ShmemJob {
-    /// Spawn one process per PE of `placement` into `sim`.
-    pub fn spawn<T, F>(sim: &mut Sim, placement: Placement, f: F) -> ShmemJob
-    where
-        T: Send + 'static,
-        F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let heaps = SymHeaps::new(placement.total() as usize);
-        let shared_map: Arc<std::sync::OnceLock<Arc<RankMap>>> =
-            Arc::new(std::sync::OnceLock::new());
-        let mut pids = Vec::with_capacity(placement.total() as usize);
-        for (pe, node) in placement.iter() {
-            let f = f.clone();
-            let heaps = heaps.clone();
-            let shared_map = shared_map.clone();
-            let pid = sim.spawn(node, format!("pe{pe}"), move |ctx: &mut ProcCtx| {
-                let map = shared_map.get().expect("PE map published").clone();
-                let mut pe_handle = PeCtx::new(ctx, pe, map, placement, heaps);
-                f(&mut pe_handle)
-            });
-            pids.push(pid);
-        }
-        shared_map
-            .set(Arc::new(RankMap::from_pids(pids.clone())))
-            .expect("PE map set once");
-        ShmemJob { pids }
-    }
-
-    /// Pids of the team, in PE order.
-    pub fn pids(&self) -> &[Pid] {
-        &self.pids
-    }
-
-    /// Collect per-PE results from a finished simulation.
-    pub fn results<T: 'static>(&self, report: &mut SimReport) -> Vec<T> {
-        self.pids.iter().map(|p| report.result::<T>(*p)).collect()
-    }
+/// Spawn one process per PE of `placement` into `sim`, all sharing one
+/// set of symmetric heaps.
+fn spawn_team<T, F>(sim: &mut Sim, placement: Placement, f: F) -> SpmdJob
+where
+    T: Send + 'static,
+    F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
+{
+    let heaps = SymHeaps::new(placement.total() as usize);
+    SpmdJob::spawn(sim, placement, "pe", move |ctx, pe, map| {
+        let mut pe_handle = PeCtx::new(ctx, pe, map, placement, heaps.clone());
+        f(&mut pe_handle)
+    })
 }
 
 /// Launch a PE team on a Comet allocation sized to the placement.
-pub fn shmem_run<T, F>(placement: Placement, f: F) -> ShmemOutput<T>
+pub fn shmem_run<T, F>(placement: Placement, f: F) -> SpmdOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
@@ -79,49 +35,29 @@ where
 }
 
 /// [`shmem_run`] on an explicit cluster.
-pub fn shmem_run_on<T, F>(cluster: &ClusterSpec, placement: Placement, f: F) -> ShmemOutput<T>
+pub fn shmem_run_on<T, F>(cluster: &ClusterSpec, placement: Placement, f: F) -> SpmdOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
 {
-    shmem_run_impl(cluster, placement, None, f)
+    launch(cluster, placement, None, |sim| {
+        spawn_team(sim, placement, f)
+    })
 }
 
-/// [`shmem_run`] under a deterministic [`FaultPlan`] (mirrors
-/// `hpcbd_minimpi::mpirun_faulty` — the plan is installed before any PE
-/// starts). Pair with [`crate::ShmemCheckpointer::poll_plan_failure`]
-/// inside `f` for recovery.
-pub fn shmem_run_faulty<T, F>(placement: Placement, plan: FaultPlan, f: F) -> ShmemOutput<T>
+/// [`shmem_run`] under a deterministic [`FaultPlan`], installed before
+/// any PE starts. Pair with
+/// [`hpcbd_simnet::Checkpointer::poll_plan_failure`] inside `f` for
+/// recovery.
+pub fn shmem_run_faulty<T, F>(placement: Placement, plan: FaultPlan, f: F) -> SpmdOutput<T>
 where
     T: Send + 'static,
     F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
 {
-    shmem_run_impl(
-        &ClusterSpec::comet(placement.nodes),
-        placement,
-        Some(plan),
-        f,
-    )
-}
-
-fn shmem_run_impl<T, F>(
-    cluster: &ClusterSpec,
-    placement: Placement,
-    faults: Option<FaultPlan>,
-    f: F,
-) -> ShmemOutput<T>
-where
-    T: Send + 'static,
-    F: Fn(&mut PeCtx) -> T + Send + Sync + 'static,
-{
-    let mut sim = Sim::new(cluster.topology());
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan);
-    }
-    let job = ShmemJob::spawn(&mut sim, placement, f);
-    let mut report = sim.run();
-    let results = job.results::<T>(&mut report);
-    ShmemOutput { results, report }
+    let cluster = ClusterSpec::comet(placement.nodes);
+    launch(&cluster, placement, Some(plan), |sim| {
+        spawn_team(sim, placement, f)
+    })
 }
 
 #[cfg(test)]

@@ -39,8 +39,7 @@ pub mod launch;
 pub mod pe;
 pub mod scheduled;
 
-pub use checkpoint::ShmemCheckpointer;
 pub use heap::{SymArray, SymHeaps};
-pub use launch::{shmem_run, shmem_run_faulty, shmem_run_on, ShmemJob, ShmemOutput};
+pub use launch::{shmem_run, shmem_run_faulty, shmem_run_on};
 pub use pe::PeCtx;
 pub use scheduled::scheduled_pagerank;

@@ -546,7 +546,7 @@ pub struct Telemetry {
     pub slo: Vec<SloOutcome>,
     /// Host self-profiler rows (`(name, count)`), present only when
     /// `HPCBD_SELFPROF` is on. Wall-clock-dependent by design — never
-    /// part of cross-mode comparisons (see [`crate::selfprof`]).
+    /// compared across runs (see [`hpcbd_simnet::selfprof`]).
     pub host_profile: Option<Vec<(String, u64)>>,
 }
 

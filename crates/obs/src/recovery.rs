@@ -13,8 +13,8 @@
 //!   action attributed to it (every [`FaultEvent::Recovery`] record is
 //!   attributed to the most recent crash at or before its timestamp).
 //! * **work replayed** — the summed `detail` of replay-class records
-//!   (`checkpoint_restart`, `partial_restart`: iterations re-executed,
-//!   summed across ranks) plus the count of task-grained re-executions
+//!   (`checkpoint_restart`: iterations re-executed, summed across
+//!   ranks) plus the count of task-grained re-executions
 //!   (`task_retry`, `map_reexec`, `speculative_task`).
 //!
 //! All numbers derive from the deterministic event stream, so they are
@@ -31,7 +31,7 @@ pub const DETECTION_ACTIONS: [&str; 3] =
     ["rank_failure_detected", "pe_failure_detected", "node_lost"];
 
 /// Recovery actions whose `detail` counts re-executed iterations.
-pub const REPLAY_ACTIONS: [&str; 2] = ["checkpoint_restart", "partial_restart"];
+pub const REPLAY_ACTIONS: [&str; 1] = ["checkpoint_restart"];
 
 /// Recovery actions that each stand for one re-executed task.
 pub const TASK_REPLAY_ACTIONS: [&str; 3] = ["task_retry", "map_reexec", "speculative_task"];

@@ -227,10 +227,16 @@ fn build_section(index: usize, cap: &RunCapture) -> RunSection {
     top.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (&a.0, a.1).cmp(&(&b.0, b.1))));
     top.truncate(TOP_K);
 
-    // Attach the (wall-clock, opt-in) host profile to the telemetry
-    // section; without telemetry there is nowhere to surface it.
+    // Attach the (wall-clock, opt-in) host self-profiler rows to the
+    // telemetry section; without telemetry there is nowhere to surface
+    // them. Rows follow the engine's counter snapshot order.
     let telemetry = collect_telemetry(cap).map(|mut t| {
-        t.host_profile = crate::selfprof::host_profile();
+        t.host_profile = hpcbd_simnet::selfprof_enabled().then(|| {
+            hpcbd_simnet::selfprof_snapshot()
+                .into_iter()
+                .map(|(name, v)| (name.to_string(), v))
+                .collect()
+        });
         t
     });
 
@@ -764,6 +770,10 @@ mod tests {
             .expect("telemetry-on run must carry the section");
         assert_eq!(t.get("interval_ns"), Some(&JsonValue::u64(10)));
         assert!(!t.get("series").unwrap().as_arr().unwrap().is_empty());
+        assert!(
+            t.get("host_profile").is_none(),
+            "host_profile rows appear only with the self-profiler on"
+        );
         let txt = on.render_text();
         assert!(txt.contains("telemetry:"), "text: {txt}");
         assert!(txt.contains("slo "), "text: {txt}");

@@ -71,7 +71,9 @@ pub mod trace;
 pub mod transport;
 
 pub use abort::{StructuredAbort, STRUCTURED_ABORT_MARKER};
-pub use ckpt::{CheckpointMode, Drain, DrainSchedule, FaultPolicy};
+pub use ckpt::{
+    CheckpointMode, Checkpointer, Drain, DrainSchedule, FaultPolicy, RecoveryBug, TeamMember,
+};
 pub use cost::{allreduce_algo, AllreduceAlgo, RuntimeClass, Work, ALLREDUCE_RING_THRESHOLD};
 pub use dataset::InputFormat;
 pub use engine::{Pid, ProcCtx, ProcReport, Sim, SimReport, World};

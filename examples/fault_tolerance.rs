@@ -7,9 +7,9 @@
 
 use hpcbd::cluster::Placement;
 use hpcbd::minhdfs::{Hdfs, HdfsConfig};
-use hpcbd::minimpi::{mpirun, Checkpointer};
+use hpcbd::minimpi::mpirun;
 use hpcbd::minspark::{SparkCluster, SparkConfig, StorageLevel};
-use hpcbd::simnet::{NodeId, Sim, SimDuration, SimTime, Topology};
+use hpcbd::simnet::{Checkpointer, NodeId, Sim, SimDuration, SimTime, Topology};
 
 fn main() {
     println!("== Failure injection across the stack ==\n");
