@@ -1,13 +1,17 @@
 //! Figure 3 — the reduce microbenchmark (OSU-style).
 //!
 //! MPI side: `MPI_Reduce` of a replicated float array, timed over many
-//! iterations, exactly like the OSU microbenchmark the paper uses. Spark
-//! side: the paper's equivalent (Fig. 2's code): an array of
-//! `processes x array_size` floats parallelized into one RDD, folded
-//! with a `reduce` action. The Spark-RDMA variant only changes the
-//! shuffle engine — which, as the paper observes, barely matters here
-//! because a `reduce` action shuffles nothing; the driver's coordination
-//! (always on Java sockets) dominates.
+//! iterations, exactly like the OSU microbenchmark the paper uses. The
+//! array is built once and every rank contributes a clone of its `Arc`,
+//! which the zero-copy reduce never writes through. Spark side: the
+//! paper's equivalent (Fig. 2's code): an array of `processes x
+//! array_size` floats parallelized into one RDD, folded with a `reduce`
+//! action. The Spark-RDMA variant only changes the shuffle engine —
+//! which, as the paper observes, barely matters here because a `reduce`
+//! action shuffles nothing; the driver's coordination (always on Java
+//! sockets) dominates.
+
+use std::sync::Arc;
 
 use hpcbd_cluster::Placement;
 use hpcbd_minimpi::{mpirun, ReduceOp};
@@ -28,14 +32,14 @@ pub struct ReducePoint {
 /// averaged over `iters` operations after one warmup.
 // TABLE3-BEGIN: reduce-mpi
 pub fn mpi_reduce_latency(placement: Placement, elements: usize, iters: u32) -> ReducePoint {
+    let data = Arc::new(vec![1.0f32; elements]);
     let out = mpirun(placement, move |rank| {
-        let data = vec![1.0f32; elements];
         // Warmup: route establishment, algorithm warm caches.
-        rank.reduce(0, ReduceOp::Sum, &data);
+        rank.reduce(0, ReduceOp::Sum, data.clone());
         rank.barrier();
         let t0 = rank.now();
         for _ in 0..iters {
-            rank.reduce(0, ReduceOp::Sum, &data);
+            rank.reduce(0, ReduceOp::Sum, data.clone());
         }
         rank.barrier();
         (rank.now() - t0).as_secs_f64()

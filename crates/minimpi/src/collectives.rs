@@ -49,6 +49,7 @@ impl MpiRank<'_> {
 
     /// MPI_Bcast: binomial tree rooted at `root`.
     pub fn bcast<T: MpiScalar>(&mut self, root: u32, data: Option<Arc<Vec<T>>>) -> Arc<Vec<T>> {
+        self.check_root("MPI_Bcast", root);
         let tag = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
@@ -86,43 +87,48 @@ impl MpiRank<'_> {
     /// MPI_Reduce: binomial tree combining towards `root`. Every rank
     /// passes its contribution; the root returns the combined vector,
     /// non-roots return `None`.
-    pub fn reduce<T: MpiScalar>(&mut self, root: u32, op: ReduceOp, data: &[T]) -> Option<Vec<T>> {
+    ///
+    /// Zero-copy: a leaf forwards the caller's `Arc` itself, and an
+    /// interior rank combines into its own accumulator, copying it first
+    /// only while it is shared (`Arc::make_mut`). The caller's buffer is
+    /// never written through.
+    pub fn reduce<T: MpiScalar>(
+        &mut self,
+        root: u32,
+        op: ReduceOp,
+        data: Arc<Vec<T>>,
+    ) -> Option<Vec<T>> {
+        self.check_root("MPI_Reduce", root);
         let tag = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
         self.ctx.span_open("mpi/reduce");
         let vrank = (me + n - root) % n;
-        let mut acc: Vec<T> = data.to_vec();
+        let mut acc = data;
         let mut bit = 1u32;
-        loop {
+        while bit < n {
             if vrank & bit != 0 {
                 // Send to parent and stop.
-                let parent_v = vrank ^ bit;
-                let parent = (parent_v + root) % n;
-                self.send_arc(parent, tag, Arc::new(acc));
+                let parent = ((vrank ^ bit) + root) % n;
+                self.send_arc(parent, tag, acc);
                 self.ctx.span_close();
                 return None;
             }
             let child_v = vrank | bit;
             if child_v < n {
                 let child = (child_v + root) % n;
-                let (v, _) = self.recv::<T>(Some(child), tag);
-                op.combine_into(&mut acc, &v);
+                let (theirs, _) = self.recv::<T>(Some(child), tag);
+                // `mine ⊕ theirs`, in place once the accumulator is this
+                // rank's own; a shared contribution is copied first.
+                op.combine_into(Arc::make_mut(&mut acc).as_mut_slice(), &theirs);
                 // Local combine cost: one op + one load per element.
                 self.charge_elementwise::<T>(acc.len());
             }
             bit <<= 1;
-            if bit >= n {
-                break;
-            }
         }
         self.ctx.span_close();
-        if me == root {
-            Some(acc)
-        } else {
-            // Only reachable when vrank==0 but me!=root, impossible.
-            unreachable!("non-root finished reduce without sending")
-        }
+        // Only virtual rank 0 (the root) leaves the loop without sending.
+        Some(Arc::unwrap_or_clone(acc))
     }
 
     /// MPI_Allreduce with size-dependent algorithm selection.
@@ -233,6 +239,7 @@ impl MpiRank<'_> {
 
     /// MPI_Scatter: root splits `data` into `size` equal chunks.
     pub fn scatter<T: MpiScalar>(&mut self, root: u32, data: Option<&[T]>) -> Vec<T> {
+        self.check_root("MPI_Scatter", root);
         let tag = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
@@ -265,6 +272,7 @@ impl MpiRank<'_> {
     /// MPI_Gather: inverse of scatter; root returns the concatenation in
     /// rank order.
     pub fn gather<T: MpiScalar>(&mut self, root: u32, data: &[T]) -> Option<Vec<T>> {
+        self.check_root("MPI_Gather", root);
         let tag = self.next_coll_tag();
         let n = self.size();
         let me = self.rank();
@@ -476,6 +484,16 @@ impl MpiRank<'_> {
         let w = hpcbd_simnet::Work::new(len as f64, len as f64 * T::BYTES as f64 * 2.0);
         self.ctx.compute(w, 1.0);
     }
+
+    /// Reject a root outside the communicator at a rooted collective's
+    /// entry (MPI_ERR_ROOT), before it can fail far from its cause.
+    fn check_root(&self, collective: &str, root: u32) {
+        assert!(
+            root < self.size(),
+            "{collective}: root {root} is out of range for a communicator of {} ranks",
+            self.size()
+        );
+    }
 }
 
 #[cfg(test)]
@@ -534,7 +552,7 @@ mod tests {
             for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
                 let out = mpirun(Placement::new(1, n), move |rank| {
                     let data = per_rank_vec(rank.rank(), 16);
-                    rank.reduce(0, op, &data)
+                    rank.reduce(0, op, Arc::new(data))
                 });
                 let root_result = out.results[0].clone().expect("root gets the result");
                 assert_eq!(root_result, oracle_reduce(n, 16, op));
@@ -543,6 +561,123 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shared_buffer_reduce_matches_oracle_and_leaves_the_buffer_alone() {
+        // Every rank contributes a clone of one `Arc`, as Fig. 3 does: no
+        // rank owns its contribution, so each interior rank must copy its
+        // accumulator before its first combine.
+        let original: Vec<f64> = (0..16).map(|i| (i as f64 - 7.0) * 0.5).collect();
+        for n in [1u32, 2, 3, 5, 8] {
+            for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min] {
+                let shared = Arc::new(original.clone());
+                let data = shared.clone();
+                let out = mpirun(Placement::new(1, n), move |rank| {
+                    rank.reduce(0, op, data.clone())
+                });
+                let mut oracle = original.clone();
+                for _ in 1..n {
+                    op.combine_into(&mut oracle, &original);
+                }
+                assert_eq!(out.results[0].as_ref(), Some(&oracle), "n={n} {op:?}");
+                assert_eq!(*shared, original, "n={n} {op:?} wrote through the Arc");
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_combines_in_binomial_tree_operand_order() {
+        // The result must be the binomial tree's `mine ⊕ theirs` at every
+        // step, bit for bit, whether each rank hands its contribution
+        // over (combined in place) or keeps a clone of it (copied before
+        // the first combine, the caller's buffer left as it was).
+        fn tree_reduce<T: MpiScalar>(op: ReduceOp, d: [&[T]; 4]) -> Vec<T> {
+            let pair = |a: &[T], b: &[T]| -> Vec<T> {
+                a.iter().zip(b).map(|(x, y)| op.apply(*x, *y)).collect()
+            };
+            pair(&pair(d[0], d[1]), &pair(d[2], d[3]))
+        }
+        fn run<T: MpiScalar>(op: ReduceOp, d: [Vec<T>; 4], keep: bool) -> Vec<T> {
+            let d = Arc::new(d);
+            mpirun(Placement::new(1, 4), move |rank| {
+                let me = rank.rank() as usize;
+                let mine = Arc::new(d[me].clone());
+                let kept = keep.then(|| mine.clone());
+                let got = rank.reduce(0, op, mine);
+                if let Some(kept) = kept {
+                    assert_eq!(*kept, d[me]);
+                }
+                got
+            })
+            .results
+            .swap_remove(0)
+            .expect("root gets the result")
+        }
+
+        // Max over signed zeros: every element ties, so the first operand
+        // survives and a swapped combine returns the other zero.
+        let zeros: [Vec<f64>; 4] = std::array::from_fn(|r| {
+            (0..6)
+                .map(|i| if (r + i) % 2 == 0 { 0.0 } else { -0.0 })
+                .collect()
+        });
+        let want = tree_reduce(ReduceOp::Max, [&zeros[0], &zeros[1], &zeros[2], &zeros[3]]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for keep in [false, true] {
+            let got = run(ReduceOp::Max, zeros.clone(), keep);
+            assert_eq!(bits(&got), bits(&want), "keep={keep}");
+        }
+
+        // Non-associative f32 Sum: the tree's grouping shows in the bits.
+        let sums: [Vec<f32>; 4] = [
+            vec![1.0, 3.0, 0.1],
+            vec![1e8, 1e8, 0.2],
+            vec![-1e8, -1e8, 0.3],
+            vec![1.0, 3.0, 1e-8],
+        ];
+        let want = tree_reduce(ReduceOp::Sum, [&sums[0], &sums[1], &sums[2], &sums[3]]);
+        let linear: Vec<f32> = (0..3)
+            .map(|i| ((sums[0][i] + sums[1][i]) + sums[2][i]) + sums[3][i])
+            .collect();
+        assert_ne!(want, linear, "inputs must tell the tree from a linear fold");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for keep in [false, true] {
+            let got = run(ReduceOp::Sum, sums.clone(), keep);
+            assert_eq!(bits(&got), bits(&want), "keep={keep}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MPI_Bcast: root 4 is out of range for a communicator of 4 ranks")]
+    fn bcast_rejects_an_out_of_range_root() {
+        mpirun(Placement::new(1, 4), |rank| {
+            rank.bcast::<f64>(4, None);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MPI_Reduce: root 9 is out of range for a communicator of 4 ranks")]
+    fn reduce_rejects_an_out_of_range_root() {
+        mpirun(Placement::new(1, 4), |rank| {
+            rank.reduce(9, ReduceOp::Sum, Arc::new(vec![1.0f64]));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MPI_Scatter: root 4 is out of range for a communicator of 4 ranks")]
+    fn scatter_rejects_an_out_of_range_root() {
+        mpirun(Placement::new(1, 4), |rank| {
+            rank.scatter::<f64>(4, None);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MPI_Gather: root 4 is out of range for a communicator of 4 ranks")]
+    fn gather_rejects_an_out_of_range_root() {
+        mpirun(Placement::new(1, 4), |rank| {
+            rank.gather(4, &[1.0f64]);
+        });
     }
 
     #[test]
