@@ -18,14 +18,14 @@
 //! * [`recovery`] folds structured fault/recovery trace records into
 //!   per-crash SLOs — time-to-detect, time-to-recover, work replayed —
 //!   surfaced in the report's `recovery` key and text timeline.
-//! * [`metrics`] builds live telemetry: a lock-sharded metrics
-//!   registry sampled at virtual-time ticks into windowed time-series
-//!   (queue depth, device utilization, latency quantiles) with SLO
-//!   monitors — the report's optional `telemetry` key.
+//! * [`metrics`] builds live telemetry: a metrics registry sampled at
+//!   virtual-time ticks into windowed time-series (queue depth, device
+//!   utilization, latency quantiles) with SLO monitors — the report's
+//!   optional `telemetry` key.
 //!
 //! Everything here is a pure function of the captured run — which is
 //! itself a pure function of virtual-time state — so reports are
-//! byte-identical across executions and execution modes. The JSON
+//! byte-identical across runs. The JSON
 //! encoder ([`json`]) emits integers only (nanoseconds, counts) in a
 //! fixed key order; no floats, no maps with unstable iteration order.
 
@@ -45,9 +45,9 @@ pub use critical::{critical_path, Category, CriticalPath, Segment};
 pub use diff::{first_divergence, LineDivergence};
 pub use json::JsonValue;
 pub use metrics::{
-    collect_telemetry, effective_interval, Hist64, MetricKind, Points, QuantileSummary, Registry,
+    collect_telemetry, effective_interval, MetricKind, Points, QuantileSummary, Registry,
     SloBreach, SloMonitor, SloOutcome, Telemetry, TimeSeries,
 };
 pub use perfetto::{to_perfetto_json, to_perfetto_json_with_telemetry};
 pub use recovery::{recovery_slos, FaultRecovery, RecoverySummary};
-pub use report::{PhaseRow, RunReport, RunSection};
+pub use report::{Histogram, PhaseRow, RunReport, RunSection};

@@ -1,6 +1,6 @@
-//! Live virtual-time telemetry: a lock-sharded metrics registry, a
-//! virtual-time sampler producing windowed time-series, quantile views
-//! and threshold-based SLO monitors.
+//! Live virtual-time telemetry: a metrics registry, a virtual-time
+//! sampler producing windowed time-series, quantile views and
+//! threshold-based SLO monitors.
 //!
 //! The paper's figures — and everything else in this crate — are
 //! end-of-run aggregates. A cluster operator instead watches *series*:
@@ -44,14 +44,13 @@
 //! requested value is preserved in the report.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hpcbd_simnet::observe::RunCapture;
 use hpcbd_simnet::{EventKind, MetricOp, MetricPoint};
 
 use crate::json::JsonValue;
-use crate::report::normalize_label;
+use crate::report::{normalize_label, Histogram};
 
 /// Upper bound on the number of sampling windows; a tinier requested
 /// interval is coarsened (see module docs) so a long-makespan run with
@@ -61,11 +60,6 @@ pub const MAX_WINDOWS: u64 = 1 << 16;
 /// How many [`SloBreach`] records one monitor keeps (the total breach
 /// count is always exact; only the per-window detail is capped).
 pub const SLO_BREACH_CAP: usize = 32;
-
-/// Number of registry shards. Sharding bounds contention when many
-/// threads record concurrently; the sampled output is sorted by
-/// `(name, labels)` so the shard layout never shows through.
-const SHARDS: usize = 16;
 
 /// What a time-series measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,76 +85,6 @@ impl MetricKind {
     }
 }
 
-/// A fixed 65-bucket power-of-two histogram with rank-based quantiles:
-/// bucket 0 holds zeros, bucket `k > 0` holds `[2^(k-1), 2^k)`.
-/// Mirrors [`crate::report::Histogram`] but exposes quantiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hist64 {
-    counts: [u64; 65],
-    total: u64,
-}
-
-impl Default for Hist64 {
-    fn default() -> Hist64 {
-        Hist64 {
-            counts: [0; 65],
-            total: 0,
-        }
-    }
-}
-
-impl Hist64 {
-    /// Count one observation.
-    pub fn add(&mut self, v: u64) {
-        let bucket = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.counts[bucket] += 1;
-        self.total = self.total.saturating_add(1);
-    }
-
-    /// Number of observations counted.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The `qn/qd` quantile as the inclusive upper bound of the bucket
-    /// containing rank `ceil(total · qn / qd)` (rank at least 1). An
-    /// empty histogram reports 0 — callers emit no point for empty
-    /// windows, so the 0 only ever shows up for whole-run summaries of
-    /// series that recorded nothing.
-    pub fn quantile(&self, qn: u64, qd: u64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = self.total.saturating_mul(qn).div_ceil(qd);
-        let rank = rank.max(1);
-        let mut seen = 0u64;
-        for (k, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return match k {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => (1u64 << k) - 1,
-                };
-            }
-        }
-        u64::MAX
-    }
-
-    /// p50 / p99 / p999 in one call.
-    pub fn p50_p99_p999(&self) -> (u64, u64, u64) {
-        (
-            self.quantile(1, 2),
-            self.quantile(99, 100),
-            self.quantile(999, 1000),
-        )
-    }
-}
-
 /// Raw updates for one `(name, labels)` series before sampling.
 /// Counter updates carry deltas, gauge updates values, histogram
 /// updates observations.
@@ -172,53 +96,35 @@ struct RawSeries {
 
 /// `(metric name, canonical label string)` — the registry key.
 type SeriesKey = (Arc<str>, Arc<str>);
-type Shard = BTreeMap<SeriesKey, RawSeries>;
 
-/// The lock-sharded registry: updates hash to one of [`SHARDS`] shards
-/// by `(name, labels)`, so concurrent recorders on different metrics
-/// rarely contend. [`Registry::sample`] drains every shard and sorts by
-/// `(name, labels)`, so shard assignment never affects output.
-#[derive(Debug)]
+/// The registry: raw updates per `(name, labels)` series, kept in key
+/// order so [`Registry::sample`] emits series sorted by `(name, labels)`.
+#[derive(Debug, Default)]
 pub struct Registry {
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl Default for Registry {
-    fn default() -> Registry {
-        Registry::new()
-    }
+    series: BTreeMap<SeriesKey, RawSeries>,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
-        Registry {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-        }
-    }
-
-    fn shard(&self, name: &str, labels: &str) -> &Mutex<Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut h);
-        labels.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+        Registry::default()
     }
 
     fn update(
-        &self,
+        &mut self,
         name: impl Into<Arc<str>>,
         labels: impl Into<Arc<str>>,
         kind: MetricKind,
         t_ns: u64,
         v: u64,
     ) {
-        let name = name.into();
-        let labels = labels.into();
-        let mut shard = self.shard(&name, &labels).lock().unwrap();
-        let series = shard.entry((name, labels)).or_insert_with(|| RawSeries {
-            kind,
-            updates: Vec::new(),
-        });
+        let series = self
+            .series
+            .entry((name.into(), labels.into()))
+            .or_insert_with(|| RawSeries {
+                kind,
+                updates: Vec::new(),
+            });
         // First registration wins the kind; a mismatched later update is
         // dropped rather than corrupting the series (mixing kinds under
         // one name is a caller bug, not a reason to poison the report).
@@ -230,7 +136,7 @@ impl Registry {
     /// Add `delta` to the counter series `(name, labels)` at virtual
     /// time `t_ns`. Counters saturate instead of wrapping.
     pub fn counter_add(
-        &self,
+        &mut self,
         name: impl Into<Arc<str>>,
         labels: impl Into<Arc<str>>,
         t_ns: u64,
@@ -241,7 +147,7 @@ impl Registry {
 
     /// Set the gauge series `(name, labels)` to `value` at `t_ns`.
     pub fn gauge_set(
-        &self,
+        &mut self,
         name: impl Into<Arc<str>>,
         labels: impl Into<Arc<str>>,
         t_ns: u64,
@@ -252,7 +158,7 @@ impl Registry {
 
     /// Record one histogram observation into `(name, labels)` at `t_ns`.
     pub fn observe(
-        &self,
+        &mut self,
         name: impl Into<Arc<str>>,
         labels: impl Into<Arc<str>>,
         t_ns: u64,
@@ -262,7 +168,7 @@ impl Registry {
     }
 
     /// Apply one explicit [`MetricPoint`] recorded by a process.
-    pub fn record(&self, p: &MetricPoint) {
+    pub fn record(&mut self, p: &MetricPoint) {
         let t = p.time.nanos();
         match p.op {
             MetricOp::CounterAdd(v) => self.counter_add(p.name.clone(), p.labels.clone(), t, v),
@@ -277,17 +183,10 @@ impl Registry {
     pub fn sample(self, interval_ns: u64, makespan_ns: u64) -> Telemetry {
         let iv = interval_ns.max(1);
         let windows = makespan_ns / iv + 1;
-        let mut all: Vec<(SeriesKey, RawSeries)> = Vec::new();
-        for shard in &self.shards {
-            let mut s = shard.lock().unwrap();
-            all.extend(std::mem::take(&mut *s));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut series = Vec::with_capacity(all.len());
+        let mut series = Vec::with_capacity(self.series.len());
         let mut quantiles = Vec::new();
         let mut slo = Vec::new();
-        for ((name, labels), mut raw) in all {
+        for ((name, labels), mut raw) in self.series {
             // Stable: preserves the canonical (name, labels, pid, seq)
             // tie-break order the caller fed same-time updates in.
             raw.updates.sort_by_key(|&(t, _)| t);
@@ -321,18 +220,19 @@ impl Registry {
                 }
                 MetricKind::Histogram => {
                     let mut pts: Vec<[u64; 5]> = Vec::new();
-                    let mut whole = Hist64::default();
-                    let mut win = Hist64::default();
+                    let mut whole = Histogram::default();
+                    let mut win = Histogram::default();
                     let mut win_start: Option<u64> = None;
-                    let flush = |win: &mut Hist64, start: Option<u64>, pts: &mut Vec<[u64; 5]>| {
-                        if let Some(s) = start {
-                            if win.total() > 0 {
-                                let (p50, p99, p999) = win.p50_p99_p999();
-                                pts.push([s, win.total(), p50, p99, p999]);
+                    let flush =
+                        |win: &mut Histogram, start: Option<u64>, pts: &mut Vec<[u64; 5]>| {
+                            if let Some(s) = start {
+                                if win.total() > 0 {
+                                    let (p50, p99, p999) = win.p50_p99_p999();
+                                    pts.push([s, win.total(), p50, p99, p999]);
+                                }
                             }
-                        }
-                        *win = Hist64::default();
-                    };
+                            *win = Histogram::default();
+                        };
                     for &(t, value) in &raw.updates {
                         let w = (t / iv) * iv;
                         if win_start != Some(w) {
@@ -558,28 +458,19 @@ impl Telemetry {
             self.series
                 .iter()
                 .map(|s| {
+                    fn rows<const N: usize>(v: &[[u64; N]]) -> JsonValue {
+                        JsonValue::Arr(
+                            v.iter()
+                                .map(|p| {
+                                    JsonValue::Arr(p.iter().map(|&x| JsonValue::u64(x)).collect())
+                                })
+                                .collect(),
+                        )
+                    }
                     let points = match &s.points {
-                        Points::Counter(v) => JsonValue::Arr(
-                            v.iter()
-                                .map(|p| {
-                                    JsonValue::Arr(p.iter().map(|&x| JsonValue::u64(x)).collect())
-                                })
-                                .collect(),
-                        ),
-                        Points::Gauge(v) => JsonValue::Arr(
-                            v.iter()
-                                .map(|p| {
-                                    JsonValue::Arr(p.iter().map(|&x| JsonValue::u64(x)).collect())
-                                })
-                                .collect(),
-                        ),
-                        Points::Histogram(v) => JsonValue::Arr(
-                            v.iter()
-                                .map(|p| {
-                                    JsonValue::Arr(p.iter().map(|&x| JsonValue::u64(x)).collect())
-                                })
-                                .collect(),
-                        ),
+                        Points::Counter(v) => rows(v),
+                        Points::Gauge(v) => rows(v),
+                        Points::Histogram(v) => rows(v),
                     };
                     JsonValue::Obj(vec![
                         ("name".into(), JsonValue::str(s.name.as_ref())),
@@ -676,14 +567,14 @@ pub fn collect_telemetry(cap: &RunCapture) -> Option<Telemetry> {
     let requested = cap.telemetry_interval?;
     let makespan = cap.makespan.nanos();
     let iv = effective_interval(requested, makespan);
-    let reg = Registry::new();
+    let mut reg = Registry::new();
 
     for p in &cap.metric_points {
         reg.record(p);
     }
-    derive_engine_series(&reg, cap);
-    derive_device_series(&reg, cap, iv);
-    derive_phase_series(&reg, cap);
+    derive_engine_series(&mut reg, cap);
+    derive_device_series(&mut reg, cap, iv);
+    derive_phase_series(&mut reg, cap);
 
     let mut t = reg.sample(iv, makespan);
     t.requested_interval_ns = requested.max(1);
@@ -701,7 +592,7 @@ pub fn collect_telemetry(cap: &RunCapture) -> Option<Telemetry> {
 /// a `Recv`), `engine.frontier` (concurrently in-flight `Compute`
 /// spans), `engine.parks` / `engine.wakes` (one park per blocking
 /// receive, one wake when it completes).
-fn derive_engine_series(reg: &Registry, cap: &RunCapture) {
+fn derive_engine_series(reg: &mut Registry, cap: &RunCapture) {
     // Signed deltas keyed by time; coalesced so one gauge point is
     // emitted per distinct transition instant.
     let mut runnable: BTreeMap<u64, i64> = BTreeMap::new();
@@ -743,7 +634,7 @@ fn derive_engine_series(reg: &Registry, cap: &RunCapture) {
 /// [`MAX_PER_NODE_SERIES`] nodes. A span's duration is split across the
 /// windows it overlaps. `Recv` is deliberately *not* NIC busy time —
 /// its span includes matching wait.
-fn derive_device_series(reg: &Registry, cap: &RunCapture, iv: u64) {
+fn derive_device_series(reg: &mut Registry, cap: &RunCapture, iv: u64) {
     let per_node = cap.cluster_nodes <= MAX_PER_NODE_SERIES;
     let node_labels: Vec<Arc<str>> = (0..cap.cluster_nodes as u64)
         .map(|n| Arc::from(format!("node={n}").as_str()))
@@ -792,7 +683,7 @@ fn derive_device_series(reg: &Registry, cap: &RunCapture, iv: u64) {
 /// Per-phase task-latency histograms from `Phase` spans (the existing
 /// `span_close` hook): series `phase.span_ns{phase=<normalized>}`,
 /// observed at the span's close time.
-fn derive_phase_series(reg: &Registry, cap: &RunCapture) {
+fn derive_phase_series(reg: &mut Registry, cap: &RunCapture) {
     let mut label_cache: BTreeMap<&str, Arc<str>> = BTreeMap::new();
     for e in &cap.events {
         if let EventKind::Phase { label, .. } = &e.kind {
@@ -841,19 +732,19 @@ mod tests {
 
     #[test]
     fn quantiles_on_single_bucket_histograms_collapse() {
-        let mut h = Hist64::default();
+        let mut h = Histogram::default();
         for _ in 0..100 {
             h.add(700); // bucket [512, 1024) → upper bound 1023
         }
         assert_eq!(h.p50_p99_p999(), (1023, 1023, 1023));
-        let mut z = Hist64::default();
+        let mut z = Histogram::default();
         z.add(0);
         assert_eq!(z.p50_p99_p999(), (0, 0, 0));
     }
 
     #[test]
     fn quantiles_on_empty_histogram_are_zero() {
-        let h = Hist64::default();
+        let h = Histogram::default();
         assert_eq!(h.total(), 0);
         assert_eq!(h.p50_p99_p999(), (0, 0, 0));
     }
@@ -863,7 +754,7 @@ mod tests {
         // One outlier in 1000: its rank is 1000 but the p999 rank is
         // ceil(1000·999/1000) = 999, still in the fast bucket — a
         // single 1/1000 outlier does not move p999.
-        let mut h = Hist64::default();
+        let mut h = Histogram::default();
         for _ in 0..999 {
             h.add(100); // bucket [64, 128)
         }
@@ -880,7 +771,7 @@ mod tests {
     #[test]
     fn sparse_windows_emit_no_points() {
         // Observations in windows 0 and 9 only; nothing in between.
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.observe("lat", "", 5, 10);
         reg.observe("lat", "", 95, 20);
         let t = reg.sample(10, 100);
@@ -902,7 +793,7 @@ mod tests {
 
     #[test]
     fn boundary_update_belongs_to_the_window_starting_there() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.counter_add("c", "", 10, 1); // exactly on the tick
         reg.counter_add("c", "", 9, 1); // last ns of window 0
         let t = reg.sample(10, 20);
@@ -916,7 +807,7 @@ mod tests {
 
     #[test]
     fn counters_saturate_instead_of_wrapping() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.counter_add("c", "", 0, u64::MAX - 1);
         reg.counter_add("c", "", 1, 5);
         reg.counter_add("c", "", 2, 5);
@@ -934,7 +825,7 @@ mod tests {
 
     #[test]
     fn gauge_takes_the_last_value_in_a_window() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.gauge_set("g", "", 1, 10);
         reg.gauge_set("g", "", 9, 30);
         reg.gauge_set("g", "", 15, 7);
@@ -947,7 +838,7 @@ mod tests {
 
     #[test]
     fn mismatched_kind_updates_are_dropped() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.counter_add("m", "", 0, 1);
         reg.gauge_set("m", "", 5, 99); // wrong kind: ignored
         let t = reg.sample(10, 10);
@@ -957,10 +848,10 @@ mod tests {
     }
 
     #[test]
-    fn series_sort_by_name_then_labels_across_shards() {
-        let reg = Registry::new();
-        // Insertion order deliberately scrambled; shard assignment is an
-        // implementation detail that must not show in the output order.
+    fn series_sort_by_name_then_labels() {
+        let mut reg = Registry::new();
+        // Insertion order deliberately scrambled; it must not show in the
+        // output order.
         reg.counter_add("z", "", 0, 1);
         reg.counter_add("a", "x=2", 0, 1);
         reg.counter_add("a", "x=1", 0, 1);
@@ -997,7 +888,7 @@ mod tests {
 
     #[test]
     fn slo_monitor_flags_tail_windows() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         // 30 fast observations across three windows, then one window
         // whose p99 blows past 4× the whole-run p50.
         for w in 0..3u64 {

@@ -191,7 +191,7 @@ mod tests {
         use crate::metrics::Registry;
         // A label with a quote: the counter-track name must be escaped
         // the same way event names are.
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         reg.counter_add("util", "disk=\"sda\"", 0, 7);
         reg.counter_add("util", "disk=\"sda\"", 15, 3);
         // A histogram whose last window breaches its 4×p50 SLO.

@@ -18,7 +18,7 @@
 //!   (`task_retry`, `map_reexec`, `speculative_task`).
 //!
 //! All numbers derive from the deterministic event stream, so they are
-//! bit-identical across execution modes and belong in the pinned
+//! bit-identical across runs and belong in the pinned
 //! `hpcbd.report.v1` report.
 
 use std::collections::BTreeMap;

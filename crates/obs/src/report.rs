@@ -9,7 +9,7 @@
 //! (nanoseconds or a count) derived from the deterministic event order
 //! and per-process statistics; aggregation uses `BTreeMap`s; ordering
 //! ties break on labels. The serialized report is therefore
-//! byte-identical across runs and across execution modes.
+//! byte-identical across runs.
 
 use std::collections::BTreeMap;
 
@@ -25,16 +25,22 @@ use crate::recovery::{recovery_slos, RecoverySummary};
 /// How many top critical-path contributors each section keeps.
 pub const TOP_K: usize = 8;
 
-/// A fixed-bucket power-of-two histogram: bucket 0 holds zeros, bucket
-/// `k > 0` holds values in `[2^(k-1), 2^k)`.
+/// A fixed 65-bucket power-of-two histogram with rank-based quantiles:
+/// bucket 0 holds zeros, bucket `k > 0` holds values in
+/// `[2^(k-1), 2^k)`. The report's size/latency histograms and the
+/// telemetry sampler's windows both use it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; 65],
+    total: u64,
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram { counts: [0; 65] }
+        Histogram {
+            counts: [0; 65],
+            total: 0,
+        }
     }
 }
 
@@ -47,11 +53,45 @@ impl Histogram {
             64 - v.leading_zeros() as usize
         };
         self.counts[bucket] += 1;
+        self.total = self.total.saturating_add(1);
     }
 
     /// Total number of counted values.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.total
+    }
+
+    /// The `qn/qd` quantile as the inclusive upper bound of the bucket
+    /// containing rank `ceil(total · qn / qd)` (rank at least 1). An
+    /// empty histogram reports 0 — callers emit no point for empty
+    /// windows, so the 0 only ever shows up for whole-run summaries of
+    /// series that recorded nothing.
+    pub fn quantile(&self, qn: u64, qd: u64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = self.total.saturating_mul(qn).div_ceil(qd).max(1);
+        let mut seen = 0u64;
+        for (k, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return match k {
+                    0 => 0,
+                    64 => u64::MAX,
+                    _ => (1u64 << k) - 1,
+                };
+            }
+        }
+        u64::MAX
+    }
+
+    /// p50 / p99 / p999 in one call.
+    pub fn p50_p99_p999(&self) -> (u64, u64, u64) {
+        (
+            self.quantile(1, 2),
+            self.quantile(99, 100),
+            self.quantile(999, 1000),
+        )
     }
 
     /// Sparse `[[bucket_lower_bound, count], ...]` encoding.

@@ -46,8 +46,9 @@ impl QueueSpec {
 }
 
 /// This queue's fair share of `total` slots under max-min weighting.
+/// Weights are summed in `u64`, so any `u32` weights fit.
 pub fn fair_share(total: u32, weights: &[u32], qi: usize) -> f64 {
-    let sum: u32 = weights.iter().sum();
+    let sum: u64 = weights.iter().map(|&w| u64::from(w)).sum();
     if sum == 0 {
         return 0.0;
     }
@@ -434,5 +435,11 @@ mod tests {
         assert_eq!(fair_share(32, &[6, 2], 0), 24.0);
         assert_eq!(fair_share(32, &[6, 2], 1), 8.0);
         assert_eq!(fair_share(32, &[], 0), 0.0);
+    }
+
+    #[test]
+    fn fair_share_sums_huge_weights_without_overflow() {
+        assert_eq!(fair_share(10, &[u32::MAX, u32::MAX], 0), 5.0);
+        assert_eq!(fair_share(10, &[u32::MAX, u32::MAX], 1), 5.0);
     }
 }

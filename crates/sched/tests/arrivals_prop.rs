@@ -8,7 +8,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Same seed and process → byte-identical trace, every time. This is
-    /// the property the cross-mode CI gate ultimately rests on.
+    /// the property the pinned busy-day goldens ultimately rest on.
     #[test]
     fn trace_is_a_pure_function_of_the_seed(
         seed in any::<u64>(),

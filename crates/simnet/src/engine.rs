@@ -25,32 +25,34 @@
 //! ([`ProcCtx::compute`]); the conservative yield happens lazily at the
 //! next visible operation.
 //!
-//! # Host-performance structure (DESIGN.md §9)
+//! # State layout (DESIGN.md §9)
 //!
-//! * `sched` — the scheduler state proper (ready queue, token,
-//!   per-process scheduling cells), with an O(1)-amortized calendar
-//!   queue and a *self-grant fast path* that skips the queue and the
-//!   coroutine switch entirely when the aligning process is already
-//!   globally minimal.
-//! * per-process mail shards — mailbox, final stats and finish time.
-//! * per-node resource cells — NIC and scratch-disk next-free times; a
-//!   separate cell for the shared NFS server.
+//! All mutable engine state is plain single-owner data in one
+//! `RefCell<State>`: the ready queue and commit token, one record per
+//! process (scheduling fields, wake slot, mailbox, final stats), the
+//! per-node NIC and scratch-disk next-free times, the shared NFS
+//! server, the resume queue and the result slots. The ready queue is
+//! O(1)-amortized, and a *self-grant fast path* skips the queue and the
+//! coroutine switch entirely when the aligning process is already
+//! globally minimal.
 //!
-//! Every mutation of this state happens inside a commit window (token
-//! held), so the locks around it never contend; they exist because the
-//! thread-backed coroutine backend ([`crate::coro`]) resumes processes
-//! on other OS threads, which makes the engine `Sync`. Trace events are
-//! buffered in a per-process `Vec` and merged at export
+//! Every mutation happens inside a commit window (token held) and
+//! borrows the state once. One rule replaces any lock ordering: **no
+//! borrow is held across [`crate::coro::suspend`]** — breaking it
+//! panics with `BorrowMutError` at the next borrow instead of
+//! deadlocking. The engine is neither `Send` nor `Sync`, so the
+//! compiler keeps every handle to it on the thread running
+//! [`Sim::run`]; [`Sim`] and [`SimReport`] stay `Send`. Trace events
+//! are buffered in a per-process `Vec` and merged at export
 //! ([`crate::trace::Trace`]), so tracing costs one `Vec::push` per
 //! event on the hot path.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::cost::Work;
 use crate::error::{DeadlockNote, RecvTimeout};
@@ -133,59 +135,39 @@ enum Status {
     Done,
 }
 
-/// Per-process waker slot. A wake stores the grant value; `parked`
-/// tracks whether the process's coroutine is suspended and therefore
-/// needs a resume-queue push to observe it (see [`Engine::wake`]).
-struct Slot {
-    m: Mutex<SlotState>,
-}
-
-struct SlotState {
-    value: Option<(SimTime, WakeReason)>,
-    /// True while the coroutine is suspended with no pending value — the
-    /// state in which a wake must enqueue it for resumption. Starts true:
-    /// a coroutine first runs when its first wake enqueues it.
-    parked: bool,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            m: Mutex::new(SlotState {
-                value: None,
-                parked: true,
-            }),
-        }
-    }
-
-    /// Wait (in the coroutine sense) until a wake value is available.
-    /// Must run inside this process's coroutine. If the value raced in
-    /// between the caller's last visible operation and this park, it is
-    /// consumed without suspending at all — the fast path that replaces
-    /// the old condvar's wake-before-wait case.
-    fn park(&self) -> (SimTime, WakeReason) {
-        loop {
-            if let Some(v) = self.m.lock().value.take() {
-                return v;
-            }
-            crate::coro::suspend();
-        }
-    }
-}
-
-/// Scheduling cell of one process: the fields the dispatcher reads and
-/// writes under the `sched` lock. Everything else a process owns lives in
-/// its [`ProcShard`] (mail lock) or its `ProcCtx` (no lock at all).
-struct SchedProc {
+/// Everything the engine knows about one process: its scheduling
+/// fields, its wake slot and its mail.
+struct Proc {
+    name: String,
     clock: SimTime,
     gen: u64,
     status: Status,
     wake_reason: WakeReason,
+    /// Pending grant, stored by [`State::wake`] and consumed by
+    /// [`Engine::park`].
+    wake: Option<(SimTime, WakeReason)>,
+    /// True while the coroutine is suspended with no pending wake — the
+    /// state in which a wake must enqueue it for resumption. Starts true:
+    /// a coroutine first runs when its first wake enqueues it.
+    parked: bool,
+    mailbox: VecDeque<Message>,
+    finish: Option<SimTime>,
+    stats: ProcStats,
 }
 
-/// Scheduler state: the single lock on the align/dispatch hot path.
-struct Sched {
-    procs: Vec<SchedProc>,
+/// (pid, message, was_deadlock) of one unwound process.
+type PanicRecord = (Pid, String, bool);
+
+/// Per-node device state: next-free times of the node's NIC and scratch
+/// disk.
+struct NodeRes {
+    nic_free: SimTime,
+    disk_free: SimTime,
+}
+
+/// All mutable engine state, owned by the thread running [`Sim::run`].
+struct State {
+    procs: Vec<Proc>,
     runnable: CalendarQueue,
     live: usize,
     deadlocked: bool,
@@ -194,11 +176,53 @@ struct Sched {
     turn: Option<Pid>,
     /// (pid, message, was_deadlock) for every unwound process.
     panics: Vec<PanicRecord>,
+    nodes: Vec<NodeRes>,
+    nfs_free: SimTime,
+    /// Messages sent to processes that had already finished.
+    dropped_msgs: u64,
+    /// Sequence numbers handed to inter-node messages for the fault
+    /// plan's drop hash. Advanced inside send commit windows, which are
+    /// totally ordered — the basis of faulty-run bit-determinism. Only
+    /// advanced when the plan actually enables drops.
+    fault_seq: u64,
+    /// Metric points absorbed from per-process buffers at finish.
+    /// Export order is recovered by [`crate::telemetry::sort_points`],
+    /// so the absorb order is irrelevant.
+    metric_sink: Vec<crate::telemetry::MetricPoint>,
+    /// Processes whose coroutines have a pending wake and await
+    /// [`resume_loop`].
+    resume: VecDeque<Pid>,
+    /// Per-process return values, indexed by pid.
+    results: Vec<Option<Box<dyn Any + Send>>>,
 }
 
-impl Sched {
+struct Engine {
+    state: RefCell<State>,
+    /// Telemetry sampling interval resolved at run start (`None` off).
+    /// Per-process contexts copy it into a `bool`; the report carries it
+    /// so the observability layer knows the tick (see
+    /// [`crate::telemetry`]).
+    telemetry_interval: Option<u64>,
+}
+
+impl Engine {
+    /// Wait (in the coroutine sense) until a wake is pending for `pid`.
+    /// Must run inside that process's coroutine. If the wake raced in
+    /// between the caller's last visible operation and this park (a
+    /// self-dispatch), it is consumed without suspending at all.
+    fn park(&self, pid: Pid) -> (SimTime, WakeReason) {
+        loop {
+            if let Some(v) = self.state.borrow_mut().procs[pid.index()].wake.take() {
+                return v;
+            }
+            crate::coro::suspend();
+        }
+    }
+}
+
+impl State {
     /// Push `pid` as runnable at `time`, invalidating any earlier entry
-    /// for it. Caller holds the sched lock.
+    /// for it.
     fn push(&mut self, pid: Pid, time: SimTime) {
         crate::selfprof::host_count(crate::selfprof::HostOp::QueuePush);
         let p = &mut self.procs[pid.index()];
@@ -206,94 +230,34 @@ impl Sched {
         let gen = p.gen;
         self.runnable.push(OrderKey { time, pid, gen });
     }
-}
 
-/// (pid, message, was_deadlock) of one unwound process.
-type PanicRecord = (Pid, String, bool);
-
-/// Per-process shard: everything a process owns that other processes
-/// only touch inside commit windows. The mail lock is effectively
-/// uncontended — the commit token already serializes every access — and
-/// exists to satisfy `Sync`, not to arbitrate.
-struct ProcShard {
-    name: String,
-    node: NodeId,
-    slot: Slot,
-    mail: Mutex<Mail>,
-}
-
-struct Mail {
-    mailbox: VecDeque<Message>,
-    finish: Option<SimTime>,
-    stats: ProcStats,
-}
-
-/// Per-node device state: next-free times of the node's NIC and scratch
-/// disk. Touched only by processes on (or transferring from) this node,
-/// inside commit windows.
-struct NodeRes {
-    nic_free: SimTime,
-    disk_free: SimTime,
-}
-
-struct Engine {
-    sched: Mutex<Sched>,
-    shards: Vec<ProcShard>,
-    nodes: Vec<Mutex<NodeRes>>,
-    nfs_free: Mutex<SimTime>,
-    /// Messages sent to processes that had already finished.
-    /// Token-serialized; atomic only for `Sync`.
-    dropped_msgs: AtomicU64,
-    /// Sequence numbers handed to inter-node messages for the fault
-    /// plan's drop hash. Incremented inside send commit windows, which
-    /// are totally ordered — the basis of faulty-run bit-determinism.
-    /// Only advanced when the plan actually enables drops.
-    fault_seq: AtomicU64,
-    /// Telemetry sampling interval resolved at run start (`None` off).
-    /// Per-process contexts copy it into a `bool`; the report carries it
-    /// so the observability layer knows the tick (see
-    /// [`crate::telemetry`]).
-    telemetry_interval: Option<u64>,
-    /// Metric points absorbed from per-process buffers at finish.
-    /// Export order is recovered by [`crate::telemetry::sort_points`],
-    /// so the absorb order is irrelevant.
-    metric_sink: Mutex<Vec<crate::telemetry::MetricPoint>>,
-    /// Processes whose coroutines have a pending wake value and await
-    /// [`resume_loop`]. Lock order: `sched` and a slot lock may be held
-    /// when taking this lock, never the reverse.
-    resume: Mutex<VecDeque<Pid>>,
-}
-
-impl Engine {
-    /// Hand `pid` a wake value, enqueuing its coroutine for resumption
-    /// if it is parked. If the coroutine is currently running (e.g. it
-    /// granted itself between pushing its ready-queue entry and
-    /// parking), the value alone suffices: its park loop consumes it
-    /// without suspending.
-    fn wake(&self, pid: Pid, clock: SimTime, reason: WakeReason) {
+    /// Hand `pid` a wake, enqueuing its coroutine for resumption if it
+    /// is parked. If the coroutine is currently running (e.g. it granted
+    /// itself between pushing its ready-queue entry and parking), the
+    /// wake alone suffices: its park loop consumes it without
+    /// suspending.
+    fn wake(&mut self, pid: Pid, clock: SimTime, reason: WakeReason) {
         crate::selfprof::host_count(crate::selfprof::HostOp::Wake);
-        let mut s = self.shards[pid.index()].slot.m.lock();
-        debug_assert!(s.value.is_none(), "second wake before {pid} parked");
-        s.value = Some((clock, reason));
-        if s.parked {
-            s.parked = false;
-            drop(s);
-            self.resume.lock().push_back(pid);
+        let p = &mut self.procs[pid.index()];
+        debug_assert!(p.wake.is_none(), "second wake before {pid} parked");
+        p.wake = Some((clock, reason));
+        if p.parked {
+            p.parked = false;
+            self.resume.push_back(pid);
         }
     }
 
     /// Grant the commit token to the next runnable process; otherwise
-    /// detect completion or deadlock. Caller holds the sched lock.
-    /// Idempotent: safe to call after any state change that might
-    /// enable a grant.
-    fn try_dispatch(&self, g: &mut Sched) {
-        if g.turn.is_some() || g.deadlocked {
+    /// detect completion or deadlock. Idempotent: safe to call after any
+    /// state change that might enable a grant.
+    fn try_dispatch(&mut self) {
+        if self.turn.is_some() || self.deadlocked {
             return;
         }
-        while let Some(cand) = g.runnable.peek_min() {
+        while let Some(cand) = self.runnable.peek_min() {
             crate::selfprof::host_count(crate::selfprof::HostOp::QueuePop);
-            g.runnable.pop_min();
-            let p = &mut g.procs[cand.pid.index()];
+            self.runnable.pop_min();
+            let p = &mut self.procs[cand.pid.index()];
             if p.gen != cand.gen {
                 continue; // stale entry
             }
@@ -314,30 +278,29 @@ impl Engine {
                 _ => continue, // defensive: not grantable
             }
             crate::selfprof::host_count(crate::selfprof::HostOp::TokenGrant);
-            g.turn = Some(cand.pid);
-            let clock = p.clock;
-            let reason = p.wake_reason;
+            let (clock, reason) = (p.clock, p.wake_reason);
+            self.turn = Some(cand.pid);
             self.wake(cand.pid, clock, reason);
             return;
         }
         // Nothing grantable while processes are still live: a
         // distributed deadlock.
-        if g.live > 0 {
-            g.deadlocked = true;
+        if self.live > 0 {
+            self.deadlocked = true;
             let mut diag = String::new();
-            for (i, p) in g.procs.iter().enumerate() {
+            for (i, p) in self.procs.iter().enumerate() {
                 if let Status::Blocked { spec, .. } = &p.status {
                     diag.push_str(&format!(
                         "{} ({}) blocked at {} on recv {:?}; ",
                         Pid(i as u32),
-                        self.shards[i].name,
+                        p.name,
                         p.clock,
                         spec
                     ));
                 }
             }
             let mut doomed = Vec::new();
-            for (i, p) in g.procs.iter_mut().enumerate() {
+            for (i, p) in self.procs.iter_mut().enumerate() {
                 if matches!(p.status, Status::Blocked { .. }) {
                     p.status = Status::Running;
                     p.wake_reason = WakeReason::Deadlock;
@@ -348,20 +311,19 @@ impl Engine {
                 self.wake(pid, clock, WakeReason::Deadlock);
             }
             // Stash the diagnostic through the panics channel.
-            g.panics
+            self.panics
                 .push((Pid(u32::MAX), format!("deadlock: {diag}"), true));
         }
     }
 
     /// Deliver a message, waking the destination if it is blocked on a
-    /// matching receive. Caller holds the sched lock (and the commit
-    /// token).
-    fn deliver(&self, g: &mut Sched, dst: Pid, msg: Message) {
+    /// matching receive. The sender holds the commit token.
+    fn deliver(&mut self, dst: Pid, msg: Message) {
         let arrival = msg.arrival;
-        let p = &mut g.procs[dst.index()];
+        let p = &mut self.procs[dst.index()];
         match &p.status {
             Status::Done => {
-                self.dropped_msgs.fetch_add(1, Ordering::Relaxed);
+                self.dropped_msgs += 1;
             }
             Status::Blocked { spec, .. } if spec.matches(&msg) => {
                 p.status = Status::Ready;
@@ -369,12 +331,10 @@ impl Engine {
                 // Clock stays at the block-time value; the receiver
                 // recomputes its resume clock from the matched message.
                 let t = p.clock.max(arrival);
-                self.shards[dst.index()].mail.lock().mailbox.push_back(msg);
-                Sched::push(g, dst, t);
+                p.mailbox.push_back(msg);
+                self.push(dst, t);
             }
-            _ => {
-                self.shards[dst.index()].mail.lock().mailbox.push_back(msg);
-            }
+            _ => p.mailbox.push_back(msg),
         }
     }
 }
@@ -395,7 +355,7 @@ fn reserve(free: &mut SimTime, at: SimTime, dur: SimDuration) -> SimTime {
 #[allow(clippy::too_many_arguments)]
 fn send_fault_adjust(
     plan: &crate::faults::FaultPlan,
-    fault_seq: &AtomicU64,
+    fault_seq: &mut u64,
     src_node: NodeId,
     dst_node: NodeId,
     dst: Pid,
@@ -439,7 +399,8 @@ fn send_fault_adjust(
         None => {}
     }
     if plan.has_drops() {
-        let seq = fault_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = *fault_seq;
+        *fault_seq += 1;
         if plan.should_drop(seq) {
             let extra = plan.retransmit();
             *arrival += extra;
@@ -460,7 +421,7 @@ fn send_fault_adjust(
 /// operations go through this handle. Engine, trace and fault-plan
 /// handles are resolved once at spawn — the hot path clones no `Arc`s.
 pub struct ProcCtx {
-    engine: Arc<Engine>,
+    engine: Rc<Engine>,
     world: Arc<World>,
     proc_nodes: Arc<Vec<NodeId>>,
     pid: Pid,
@@ -764,7 +725,8 @@ impl ProcCtx {
     fn align_quiet(&mut self) -> bool {
         let me = self.pid;
         {
-            let mut g = self.engine.sched.lock();
+            let mut st = self.engine.state.borrow_mut();
+            let g = &mut *st;
             if g.deadlocked {
                 return false;
             }
@@ -808,10 +770,10 @@ impl ProcCtx {
                 p.status = Status::Ready;
                 p.wake_reason = WakeReason::Turn;
             }
-            Sched::push(&mut g, me, self.clock);
-            self.engine.try_dispatch(&mut g);
+            g.push(me, self.clock);
+            g.try_dispatch();
         }
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
+        let (clock, reason) = self.engine.park(me);
         self.clock = clock;
         reason != WakeReason::Deadlock
     }
@@ -862,65 +824,67 @@ impl ProcCtx {
         // Commit window (token held): NIC reservation, fault decisions,
         // delivery.
         let sent_at = self.clock;
-        let dst_node = self.proc_nodes[dst.index()];
+        let dst_node = self.node_of(dst);
         let same_node = dst_node == self.node;
         let wire = transport.wire_time(bytes);
+        let mut st = self.engine.state.borrow_mut();
         let mut arrival = if same_node {
             sent_at + transport.latency + wire
         } else {
-            let mut nr = self.engine.nodes[self.node.index()].lock();
-            reserve(&mut nr.nic_free, sent_at, wire) + transport.latency
+            reserve(&mut st.nodes[self.node.index()].nic_free, sent_at, wire) + transport.latency
         };
         // Fault injection, inside the commit window so every decision
         // (and the drop-hash sequence number) lands at a deterministic
         // point of the global order. Intra-node loopback is immune.
-        if !same_node {
-            if let Some(plan) = self.faults.clone() {
-                for (ev, extra) in send_fault_adjust(
-                    &plan,
-                    &self.engine.fault_seq,
-                    self.node,
-                    dst_node,
-                    dst,
-                    sent_at,
-                    bytes,
-                    wire,
-                    transport.latency,
-                    &mut arrival,
-                ) {
-                    self.stats.fault_events += 1;
-                    self.stats.fault_delay += extra;
-                    self.trace_push(sent_at, sent_at, crate::trace::EventKind::Fault(ev));
-                }
-            }
-        }
-        let recv_cost = transport.endpoint_cpu(transport.recv_overhead, bytes);
-        let msg = Message {
-            src: self.pid,
-            dst,
-            tag,
-            bytes,
-            payload,
-            sent_at,
-            arrival,
-            recv_cost,
+        let fault_events = match &self.faults {
+            Some(plan) if !same_node => send_fault_adjust(
+                plan,
+                &mut st.fault_seq,
+                self.node,
+                dst_node,
+                dst,
+                sent_at,
+                bytes,
+                wire,
+                transport.latency,
+                &mut arrival,
+            ),
+            _ => Vec::new(),
         };
-        {
-            let mut g = self.engine.sched.lock();
-            self.engine.deliver(&mut g, dst, msg);
+        let recv_cost = transport.endpoint_cpu(transport.recv_overhead, bytes);
+        st.deliver(
+            dst,
+            Message {
+                src: self.pid,
+                dst,
+                tag,
+                bytes,
+                payload,
+                sent_at,
+                arrival,
+                recv_cost,
+            },
+        );
+        drop(st);
+        for (ev, extra) in fault_events {
+            self.stats.fault_events += 1;
+            self.stats.fault_delay += extra;
+            self.trace_push(sent_at, sent_at, crate::trace::EventKind::Fault(ev));
         }
     }
 
-    fn take_match(&mut self, spec: MatchSpec) -> Option<Message> {
-        let mut m = self.engine.shards[self.pid.index()].mail.lock();
-        let best = m
-            .mailbox
+    /// Take the earliest-arriving message matching `spec` that arrived
+    /// by `by` (any arrival when `None`) out of this process's mailbox.
+    fn take_match(&self, spec: MatchSpec, by: Option<SimTime>) -> Option<Message> {
+        let mut st = self.engine.state.borrow_mut();
+        let mailbox = &mut st.procs[self.pid.index()].mailbox;
+        let best = mailbox
             .iter()
             .enumerate()
-            .filter(|(_, m)| spec.matches(m))
+            .filter(|(_, m)| spec.matches(m) && by.is_none_or(|t| m.arrival <= t))
             .min_by_key(|(i, m)| (m.arrival, *i))
             .map(|(i, _)| i);
-        best.and_then(|i| m.mailbox.remove(i))
+        best.and_then(|i| mailbox.remove(i))
     }
 
     fn finish_recv(&mut self, msg: Message, blocked_since: SimTime) -> Message {
@@ -969,15 +933,16 @@ impl ProcCtx {
         // Align first so the mailbox is inspected at a deterministic
         // point of the visible-operation order.
         self.become_min();
-        if let Some(m) = self.take_match(spec) {
+        if let Some(m) = self.take_match(spec, None) {
             return Ok(self.finish_recv(m, blocked_since));
         }
         // Block, handing the token back.
         let me = self.pid;
         {
-            let mut g = self.engine.sched.lock();
+            let mut st = self.engine.state.borrow_mut();
+            let g = &mut *st;
             if g.deadlocked {
-                drop(g);
+                drop(st);
                 panic::panic_any(DeadlockNote(format!(
                     "{} blocked during deadlock teardown",
                     self.pid
@@ -991,19 +956,19 @@ impl ProcCtx {
                 p.status = Status::Blocked { spec, deadline };
             }
             if let Some(d) = deadline {
-                Sched::push(&mut g, me, d.max(self.clock));
+                g.push(me, d.max(self.clock));
             } else {
                 // No queue entry: only a matching delivery can wake us.
                 g.procs[me.index()].gen += 1;
             }
-            self.engine.try_dispatch(&mut g);
+            g.try_dispatch();
         }
-        let (clock, reason) = self.engine.shards[me.index()].slot.park();
+        let (clock, reason) = self.engine.park(me);
         self.clock = clock;
         match reason {
             WakeReason::Message => {
                 let m = self
-                    .take_match(spec)
+                    .take_match(spec, None)
                     .expect("woken for message but no match in mailbox");
                 Ok(self.finish_recv(m, blocked_since))
             }
@@ -1025,18 +990,8 @@ impl ProcCtx {
         // Align so the arrival check happens at a deterministic point.
         self.become_min();
         let now = self.clock;
-        let taken = {
-            let mut m = self.engine.shards[self.pid.index()].mail.lock();
-            let best = m
-                .mailbox
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| spec.matches(m) && m.arrival <= now)
-                .min_by_key(|(i, m)| (m.arrival, *i))
-                .map(|(i, _)| i);
-            best.and_then(|i| m.mailbox.remove(i))
-        };
-        taken.map(|m| self.finish_recv(m, now))
+        self.take_match(spec, Some(now))
+            .map(|m| self.finish_recv(m, now))
     }
 
     /// One-sided RDMA transfer (OpenSHMEM put/get, MPI RMA): the initiator
@@ -1081,8 +1036,8 @@ impl ProcCtx {
         if target_node == self.node {
             self.clock += lat + wire;
         } else {
-            let mut nr = self.engine.nodes[self.node.index()].lock();
-            self.clock = reserve(&mut nr.nic_free, self.clock, wire) + lat;
+            let nic = &mut self.engine.state.borrow_mut().nodes[self.node.index()].nic_free;
+            self.clock = reserve(nic, self.clock, wire) + lat;
         }
         let out = effect();
         let end = self.clock;
@@ -1121,11 +1076,14 @@ impl ProcCtx {
         self.become_min();
         let dur = self.device_io_dur(bytes, is_nfs, is_write);
         let t0 = self.clock;
-        let finish = if is_nfs {
-            reserve(&mut self.engine.nfs_free.lock(), t0, dur)
-        } else {
-            let mut nr = self.engine.nodes[self.node.index()].lock();
-            reserve(&mut nr.disk_free, t0, dur)
+        let finish = {
+            let mut st = self.engine.state.borrow_mut();
+            let free = if is_nfs {
+                &mut st.nfs_free
+            } else {
+                &mut st.nodes[self.node.index()].disk_free
+            };
+            reserve(free, t0, dur)
         };
         self.stats.disk_time += finish - t0;
         self.clock = finish;
@@ -1181,10 +1139,11 @@ impl ProcCtx {
         self.become_min();
         // Straggling nodes drain slowly too (same rule as `device_io`).
         let dur = self.device_io_dur(bytes, false, true);
-        let finish = {
-            let mut nr = self.engine.nodes[self.node.index()].lock();
-            reserve(&mut nr.disk_free, self.clock, dur)
-        };
+        let finish = reserve(
+            &mut self.engine.state.borrow_mut().nodes[self.node.index()].disk_free,
+            self.clock,
+            dur,
+        );
         self.stats.disk_write_bytes += bytes;
         self.trace_push(
             self.clock,
@@ -1208,6 +1167,16 @@ pub struct Sim {
     world: Arc<World>,
     spawns: Vec<ProcSpawn>,
 }
+
+// A whole simulation, its world and its report may move between threads
+// (a sweep may run each `Sim` on a worker); only the engine inside
+// `Sim::run` is confined to the thread running it.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Sim>();
+    assert_send::<SimReport>();
+    assert_send::<World>();
+};
 
 /// Final report of one process.
 #[derive(Debug)]
@@ -1356,15 +1325,22 @@ impl Sim {
         };
         let selfprof_t0 = crate::selfprof::selfprof_enabled().then(std::time::Instant::now);
         let proc_nodes: Arc<Vec<NodeId>> = Arc::new(self.spawns.iter().map(|s| s.node).collect());
-        let nodes = self.world.topology.len();
-        let engine = Arc::new(Engine {
-            sched: Mutex::new(Sched {
-                procs: (0..n)
-                    .map(|_| SchedProc {
+        let engine = Rc::new(Engine {
+            state: RefCell::new(State {
+                procs: self
+                    .spawns
+                    .iter()
+                    .map(|s| Proc {
+                        name: s.name.clone(),
                         clock: SimTime::ZERO,
                         gen: 0,
                         status: Status::Ready,
                         wake_reason: WakeReason::Turn,
+                        wake: None,
+                        parked: true,
+                        mailbox: VecDeque::new(),
+                        finish: None,
+                        stats: ProcStats::default(),
                     })
                     .collect(),
                 runnable: CalendarQueue::new(),
@@ -1372,44 +1348,26 @@ impl Sim {
                 deadlocked: false,
                 turn: None,
                 panics: Vec::new(),
-            }),
-            shards: self
-                .spawns
-                .iter()
-                .map(|s| ProcShard {
-                    name: s.name.clone(),
-                    node: s.node,
-                    slot: Slot::new(),
-                    mail: Mutex::new(Mail {
-                        mailbox: VecDeque::new(),
-                        finish: None,
-                        stats: ProcStats::default(),
-                    }),
-                })
-                .collect(),
-            nodes: (0..nodes)
-                .map(|_| {
-                    Mutex::new(NodeRes {
+                nodes: (0..self.world.topology.len())
+                    .map(|_| NodeRes {
                         nic_free: SimTime::ZERO,
                         disk_free: SimTime::ZERO,
                     })
-                })
-                .collect(),
-            nfs_free: Mutex::new(SimTime::ZERO),
-            dropped_msgs: AtomicU64::new(0),
-            fault_seq: AtomicU64::new(0),
+                    .collect(),
+                nfs_free: SimTime::ZERO,
+                dropped_msgs: 0,
+                fault_seq: 0,
+                metric_sink: Vec::new(),
+                resume: VecDeque::new(),
+                results: (0..n).map(|_| None).collect(),
+            }),
             telemetry_interval,
-            metric_sink: Mutex::new(Vec::new()),
-            resume: Mutex::new(VecDeque::new()),
         });
-
-        type ResultSlots = Vec<Option<Box<dyn Any + Send>>>;
-        let results: Arc<Mutex<ResultSlots>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
 
         // One coroutine per process, each running the full process body
         // on its own lazily-paged stack. Bodies start suspended; the
         // scheduler's first wake enqueues them on the resume queue.
-        let specs: Vec<(String, Box<dyn FnOnce() + Send>)> = self
+        let bodies: Vec<Box<dyn FnOnce()>> = self
             .spawns
             .into_iter()
             .enumerate()
@@ -1418,11 +1376,9 @@ impl Sim {
                 let engine = engine.clone();
                 let world = self.world.clone();
                 let proc_nodes = proc_nodes.clone();
-                let results = results.clone();
-                let name = spawn.name;
-                let body: Box<dyn FnOnce() + Send> = Box::new(move || {
+                Box::new(move || {
                     // Wait for the first grant.
-                    let (clock, reason) = engine.shards[pid.index()].slot.park();
+                    let (clock, reason) = engine.park(pid);
                     let tracing = world.trace.get().is_some();
                     let faults = world.faults.get().cloned();
                     let mut ctx = ProcCtx {
@@ -1449,7 +1405,7 @@ impl Sim {
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                     match outcome {
                         Ok(val) => {
-                            results.lock()[pid.index()] = Some(val);
+                            engine.state.borrow_mut().results[pid.index()] = Some(val);
                             finish_proc(&engine, &mut ctx, None);
                         }
                         Err(payload) => {
@@ -1457,28 +1413,27 @@ impl Sim {
                             finish_proc(&engine, &mut ctx, Some((msg, was_deadlock)));
                         }
                     }
-                });
-                (name, body)
+                }) as Box<dyn FnOnce()>
             })
             .collect();
-        let coros = crate::coro::Coroutines::build(specs);
+        let coros = crate::coro::Coroutines::build(bodies);
 
         // Enqueue every process at its start time and kick off the first
         // grant; it lands on the resume queue drained below.
         {
-            let mut g = engine.sched.lock();
+            let mut st = engine.state.borrow_mut();
             for i in 0..n {
-                let t = g.procs[i].clock;
-                Sched::push(&mut g, Pid(i as u32), t);
+                let t = st.procs[i].clock;
+                st.push(Pid(i as u32), t);
             }
-            engine.try_dispatch(&mut g);
+            st.try_dispatch();
         }
         resume_loop(&engine, &coros);
         drop(coros);
 
-        let g = engine.sched.lock();
+        let mut st = engine.state.borrow_mut();
         // Report application panics first; deadlock only if nothing else.
-        if let Some((pid, msg, _)) = g
+        if let Some((pid, msg, _)) = st
             .panics
             .iter()
             .find(|(_, _, was_deadlock)| !*was_deadlock)
@@ -1486,37 +1441,27 @@ impl Sim {
         {
             panic!("simulated process {pid} panicked: {msg}");
         }
-        if let Some((_, msg, _)) = g.panics.first().cloned() {
+        if let Some((_, msg, _)) = st.panics.first().cloned() {
             panic!("{msg}");
         }
         assert_eq!(
-            g.live, 0,
+            st.live, 0,
             "engine stalled: resume queue drained with processes still live"
         );
-        let procs = engine
-            .shards
-            .iter()
+        let procs = st
+            .procs
+            .iter_mut()
             .enumerate()
-            .map(|(i, s)| {
-                let m = s.mail.lock();
-                ProcReport {
-                    pid: Pid(i as u32),
-                    name: s.name.clone(),
-                    node: s.node,
-                    finish: m.finish.unwrap_or(g.procs[i].clock),
-                    stats: m.stats.clone(),
-                }
+            .map(|(i, p)| ProcReport {
+                pid: Pid(i as u32),
+                name: std::mem::take(&mut p.name),
+                node: proc_nodes[i],
+                finish: p.finish.unwrap_or(p.clock),
+                stats: std::mem::take(&mut p.stats),
             })
             .collect();
-        let dropped = engine.dropped_msgs.load(Ordering::Relaxed);
-        drop(g);
-        let results = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| {
-                let mut g = arc.lock();
-                g.iter_mut().map(|o| o.take()).collect()
-            });
-        let mut metric_points = std::mem::take(&mut *engine.metric_sink.lock());
+        let results = std::mem::take(&mut st.results);
+        let mut metric_points = std::mem::take(&mut st.metric_sink);
         crate::telemetry::sort_points(&mut metric_points);
         if let Some(t0) = selfprof_t0 {
             crate::selfprof::add_run_wall_ns(t0.elapsed().as_nanos() as u64);
@@ -1524,7 +1469,7 @@ impl Sim {
         let report = SimReport {
             procs,
             results,
-            dropped_msgs: dropped,
+            dropped_msgs: st.dropped_msgs,
             trace: self.world.trace.get().cloned(),
             telemetry_interval: engine.telemetry_interval,
             metric_points,
@@ -1553,7 +1498,7 @@ fn describe_panic(payload: &(dyn Any + Send)) -> (String, bool) {
     }
 }
 
-fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(String, bool)>) {
+fn finish_proc(engine: &Engine, ctx: &mut ProcCtx, panic_info: Option<(String, bool)>) {
     let pid = ctx.pid;
     if panic_info.is_none() {
         // Normal completion is itself a visible event: align so the
@@ -1573,23 +1518,16 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
             tr.absorb(std::mem::take(&mut ctx.trace_buf));
         }
     }
-    if !ctx.metric_buf.is_empty() {
-        engine
-            .metric_sink
-            .lock()
-            .append(&mut std::mem::take(&mut ctx.metric_buf));
-    }
-    {
-        let mut m = engine.shards[pid.index()].mail.lock();
-        m.finish = Some(ctx.clock);
-        m.stats = std::mem::take(&mut ctx.stats);
-    }
-    let mut g = engine.sched.lock();
+    let mut st = engine.state.borrow_mut();
+    let g = &mut *st;
+    g.metric_sink.append(&mut ctx.metric_buf);
     if g.turn == Some(pid) {
         g.turn = None;
     }
     {
         let p = &mut g.procs[pid.index()];
+        p.finish = Some(ctx.clock);
+        p.stats = std::mem::take(&mut ctx.stats);
         p.status = Status::Done;
         p.clock = ctx.clock;
         p.gen += 1; // invalidate any stale queue entries
@@ -1599,7 +1537,7 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
     }
     g.live -= 1;
     if g.live > 0 && !g.deadlocked {
-        engine.try_dispatch(&mut g);
+        g.try_dispatch();
     }
 }
 
@@ -1609,18 +1547,18 @@ fn finish_proc(engine: &Arc<Engine>, ctx: &mut ProcCtx, panic_info: Option<(Stri
 /// finished.
 fn resume_loop(engine: &Engine, coros: &crate::coro::Coroutines) {
     loop {
-        let Some(pid) = engine.resume.lock().pop_front() else {
+        let Some(pid) = engine.state.borrow_mut().resume.pop_front() else {
             return;
         };
         crate::selfprof::host_count(crate::selfprof::HostOp::CoroResume);
         if coros.resume(pid.index()) == crate::coro::SwitchOut::Parked {
-            // Resumption is synchronous, so no wake can have raced in
-            // between the coroutine's last value check and its
+            // Resumption is synchronous, so no wake can have arrived
+            // between the coroutine's last wake check and its
             // suspension: publish the parked state.
-            let mut s = engine.shards[pid.index()].slot.m.lock();
-            debug_assert!(s.value.is_none(), "{pid} parked with a pending wake");
+            let p = &mut engine.state.borrow_mut().procs[pid.index()];
+            debug_assert!(p.wake.is_none(), "{pid} parked with a pending wake");
             crate::selfprof::host_count(crate::selfprof::HostOp::Park);
-            s.parked = true;
+            p.parked = true;
         }
     }
 }

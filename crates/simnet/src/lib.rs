@@ -168,31 +168,50 @@ mod engine_tests {
         assert!(report.makespan() > SimTime::ZERO);
     }
 
+    /// Eight processes on four nodes chattering in a ring, with compute,
+    /// NIC and disk traffic.
+    fn ring_sim() -> Sim {
+        let mut sim = Sim::new(Topology::comet(4));
+        let tr = Transport::ipoib_socket();
+        let n = 8u32;
+        for i in 0..n {
+            sim.spawn(NodeId(i % 4), format!("w{i}"), move |ctx| {
+                let next = Pid((i + 1) % n);
+                ctx.compute(Work::flops(1.0e6 * (i as f64 + 1.0)), 1.0);
+                ctx.send(next, 9, 1 << (10 + (i % 4)), Payload::Empty, &tr);
+                let m = ctx.recv(MatchSpec::tag(9));
+                ctx.disk_write(1 << 20);
+                m.bytes
+            });
+        }
+        sim
+    }
+
+    fn finish_times(report: &SimReport) -> (u64, Vec<u64>) {
+        let finishes = report.procs.iter().map(|p| p.finish.nanos()).collect();
+        (report.makespan().nanos(), finishes)
+    }
+
     #[test]
     fn determinism_across_runs() {
-        fn run_once() -> (u64, Vec<u64>) {
-            let mut sim = Sim::new(Topology::comet(4));
-            let tr = Transport::ipoib_socket();
-            let n = 8u32;
-            for i in 0..n {
-                sim.spawn(NodeId(i % 4), format!("w{i}"), move |ctx| {
-                    // Everyone chatters with everyone in a ring.
-                    let next = Pid((i + 1) % n);
-                    ctx.compute(Work::flops(1.0e6 * (i as f64 + 1.0)), 1.0);
-                    ctx.send(next, 9, 1 << (10 + (i % 4)), Payload::Empty, &tr);
-                    let m = ctx.recv(MatchSpec::tag(9));
-                    ctx.disk_write(1 << 20);
-                    m.bytes
-                });
-            }
-            let report = sim.run();
-            let finishes = report.procs.iter().map(|p| p.finish.nanos()).collect();
-            (report.makespan().nanos(), finishes)
-        }
-        let first = run_once();
+        let first = finish_times(&ring_sim().run());
         for _ in 0..3 {
-            assert_eq!(run_once(), first, "simulation must be deterministic");
+            assert_eq!(
+                finish_times(&ring_sim().run()),
+                first,
+                "simulation must be deterministic"
+            );
         }
+    }
+
+    #[test]
+    fn a_sim_built_on_one_thread_runs_on_another() {
+        let here = finish_times(&ring_sim().run());
+        let sim = ring_sim();
+        let there = std::thread::spawn(move || finish_times(&sim.run()))
+            .join()
+            .expect("run on a spawned thread");
+        assert_eq!(there, here, "the run thread must not change the result");
     }
 
     #[test]

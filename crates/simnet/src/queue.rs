@@ -17,7 +17,7 @@
 //!   full `(time, pid, gen)` key, and ties in `time` are common (ring
 //!   exchanges synchronize whole communicators to one instant). Buckets
 //!   are kept sorted by the full key, so `pop_min` yields *exactly* the
-//!   sequence the reference heap would — the property the cross-mode
+//!   sequence the reference heap would — the property the run-to-run
 //!   bit-determinism argument needs, and the one the proptest suite at
 //!   the bottom of this file checks against a `BinaryHeap` model.
 //! * **Defensive non-monotonicity.** Correctness does not assume the
